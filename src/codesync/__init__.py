@@ -47,6 +47,7 @@ from .automata import (
     states_from_mask,
     step_backward,
     step_forward,
+    subset_bfs,
 )
 from .completeness import (
     CompletionWitness,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AutomatonContractError,
@@ -165,8 +165,12 @@ def flower_automaton(language: FiniteLanguage) -> Automaton:
 
     States are state 1 plus the proper nonempty prefixes of words of X; all
     first-return words at state 1 are exactly X, every state is accessible and
-    co-accessible, and every cycle passes through state 1.
+    co-accessible, and every cycle passes through state 1.  The result is
+    memoized on the (immutable) language.
     """
+    cached = language._memo.get("flower")
+    if cached is not None:
+        return cached
     if len(language) == 0:
         raise ParseError("cannot build the flower automaton of an empty language")
     if language.contains_epsilon:
@@ -192,12 +196,14 @@ def flower_automaton(language: FiniteLanguage) -> Automaton:
     labels = tuple(
         "1" if not p else Word(language.alphabet, p).text for p in ordered
     )
-    return Automaton(
+    automaton = Automaton(
         n_states=len(ordered),
         alphabet=language.alphabet,
         table=tuple(tuple(row) for row in table),
         labels=labels,
     )
+    language._memo["flower"] = automaton
+    return automaton
 
 
 def is_deterministic(automaton: Automaton) -> bool:
@@ -207,29 +213,65 @@ def is_deterministic(automaton: Automaton) -> bool:
     )
 
 
+def subset_bfs(
+    automaton: Automaton,
+    start: int,
+    *,
+    back: bool = False,
+    goal: Optional[Callable[[int], bool]] = None,
+    cap: int = DEFAULT_SUBSET_CAP,
+    what: str = "subset search",
+) -> tuple[list[int], Optional[Word]]:
+    """Breadth-first search in the subset automaton from ``start``.
+
+    Steps with ``step_letter`` (``step_letter_back`` when ``back``), trying
+    letters in alphabet order and expanding subsets first-in-first-out, so the
+    first word reaching a subset is its (length, lex) minimum.  Returns the
+    discovered nonempty subsets in discovery order, start first, and the least
+    word whose subset satisfies ``goal`` (None when no subset does).  ∅ is
+    tested against ``goal`` but never expanded; the goal is tested before the
+    cap on distinct nonempty subsets, so a hit returns before the cap can fire.
+    """
+    step = automaton.step_letter_back if back else automaton.step_letter
+    letters = range(len(automaton.alphabet))
+    parent: dict[int, Optional[tuple[int, int]]] = {start: None}
+    order = [start]
+    hit = start if goal is not None and goal(start) else None
+    head = 0
+    while hit is None and head < len(order):
+        s = order[head]
+        head += 1
+        for a in letters:
+            t = step(s, a)
+            if t in parent:
+                continue
+            parent[t] = (s, a)
+            if goal is not None and goal(t):
+                hit = t
+                break
+            if t:
+                order.append(t)
+                if len(order) > cap:
+                    raise SubsetCapExceeded(cap, what)
+    if hit is None:
+        return order, None
+    word = []
+    while parent[hit] is not None:
+        hit, a = parent[hit]
+        word.append(a)
+    return order, Word(automaton.alphabet, tuple(reversed(word)))
+
+
 def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """True iff δ(Q, u) is nonempty for every word u.
 
     Decided by checking that ∅ is unreachable from the full state set in the
     subset automaton.
     """
-    seen = {automaton.full_mask}
-    frontier = [automaton.full_mask]
-    d = len(automaton.alphabet)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in range(d):
-                t = automaton.step_letter(s, a)
-                if t == 0:
-                    return False
-                if t not in seen:
-                    seen.add(t)
-                    if len(seen) > cap:
-                        raise SubsetCapExceeded(cap, "completeness check")
-                    nxt.append(t)
-        frontier = nxt
-    return True
+    _, hit = subset_bfs(
+        automaton, automaton.full_mask, goal=lambda t: not t, cap=cap, what="completeness check"
+    )
+    return hit is None
 
 
 def is_transitive(automaton: Automaton) -> bool:
@@ -357,25 +399,9 @@ def determinize_minimize(automaton: Automaton) -> Automaton:
     the same language, accepting at subsets that contain state 1.
     """
     d = len(automaton.alphabet)
-    start = 1 << automaton.initial
-    subsets = {start: 0}
-    order = [start]
-    trans: list[list[Optional[int]]] = []
-    i = 0
-    while i < len(order):
-        s = order[i]
-        row: list[Optional[int]] = []
-        for a in range(d):
-            t = automaton.step_letter(s, a)
-            if t == 0:
-                row.append(None)
-            else:
-                if t not in subsets:
-                    subsets[t] = len(order)
-                    order.append(t)
-                row.append(subsets[t])
-        trans.append(row)
-        i += 1
+    order, _ = subset_bfs(automaton, 1 << automaton.initial, what="subset construction")
+    index = {s: i for i, s in enumerate(order)}
+    trans = [[index.get(automaton.step_letter(s, a)) for a in range(d)] for s in order]
     accept_bit = mask_from_states(automaton.accepting)
     accepting = [bool(s & accept_bit) for s in order]
 

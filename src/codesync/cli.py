@@ -206,8 +206,6 @@ def cmd_construct(args) -> int:
 
 def cmd_encode(args) -> int:
     x = _load_language(args.language)
-    if args.target_d != 2:
-        raise ParseError("only binary target alphabets are supported")
     if args.mode == "uniform":
         pair, trace = uniform_sync_encoding(x)
     elif args.mode == "power2":
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("syncpair", help="find or check synchronizing pairs")
     p.add_argument("language")
-    p.add_argument("--exact", action="store_true", help="exact shortest-pair search")
     p.add_argument("--budget", type=int, default=12)
     p.add_argument("--check", nargs=2, metavar=("U", "V"))
     p.add_argument("--json", action="store_true")
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="binary-encoding reductions")
     p.add_argument("language")
-    p.add_argument("--target-d", type=int, default=2)
     p.add_argument("--mode", choices=("general", "power2", "uniform"), default="general")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_encode)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Automaton, flower_automaton, states_from_mask, step_forward
-from .errors import SubsetCapExceeded, DEFAULT_SUBSET_CAP
+from .automata import Automaton, flower_automaton, states_from_mask, step_forward, subset_bfs
+from .errors import InternalInvariantError, SubsetCapExceeded, DEFAULT_SUBSET_CAP
 from .languages import FiniteLanguage, Word, kleene_membership
 
 
@@ -25,46 +25,6 @@ class CompletionWitness:
     left_in_star: bool
 
 
-def _bfs_to_empty(
-    automaton: Automaton, cap: int
-) -> Optional[tuple[int, list[int]]]:
-    """Shortest path from the full state set to ∅ in the subset automaton.
-
-    Returns (length, letters) for the lexicographically least shortest word,
-    or None when ∅ is unreachable.  Letters are explored in alphabet order and
-    subsets expanded first-in-first-out, so the first word reaching a subset
-    is the (length, lex) minimum.
-    """
-    d = len(automaton.alphabet)
-    start = automaton.full_mask
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in range(d):
-                t = automaton.step_letter(s, a)
-                if t in seen:
-                    continue
-                seen.add(t)
-                if len(seen) > cap:
-                    raise SubsetCapExceeded(cap, "incompletable-word search")
-                parent[t] = (s, a)
-                if t == 0:
-                    letters = []
-                    cur = 0
-                    while cur != start:
-                        prev, letter = parent[cur]
-                        letters.append(letter)
-                        cur = prev
-                    letters.reverse()
-                    return len(letters), letters
-                nxt.append(t)
-        frontier = nxt
-    return None
-
-
 def shortest_incompletable(
     language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
 ) -> Optional[Word]:
@@ -74,11 +34,11 @@ def shortest_incompletable(
     order, so the output is reproducible.
     """
     automaton = flower_automaton(language)
-    hit = _bfs_to_empty(automaton, cap)
-    if hit is None:
-        return None
-    _, letters = hit
-    return Word(language.alphabet, tuple(letters))
+    _, word = subset_bfs(
+        automaton, automaton.full_mask, goal=lambda t: not t, cap=cap,
+        what="incompletable-word search",
+    )
+    return word
 
 
 def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -136,7 +96,7 @@ def find_completion(
 
     The witness is found as a path search in the flower automaton; because
     flower states are proper prefixes of codewords, the shortest connecting
-    labels satisfy |r|, |s| ≤ ℓ(X) − 1, which is asserted when ``trim`` is
+    labels satisfy |r|, |s| ≤ ℓ(X) − 1, which is checked when ``trim`` is
     set.  When w ∈ X* the trivial witness (ε, ε) is returned.
     """
     automaton = flower_automaton(language)
@@ -154,10 +114,11 @@ def find_completion(
             key=lambda t: (len(coaccess[t]), coaccess[t].indices),
         )
         r, s = access[p], coaccess[q]
-        assert kleene_membership(language, r + w + s)
-        if trim:
-            bound = max(language.size - 1, 0)
-            assert len(r) <= bound and len(s) <= bound
+        details = {"r": r.text, "w": w.text, "s": s.text}
+        if not kleene_membership(language, r + w + s):
+            raise InternalInvariantError("completion r·w·s is not in X*", details)
+        if trim and max(len(r), len(s)) > max(language.size - 1, 0):
+            raise InternalInvariantError("completion exceeds the trim bound ℓ(X) − 1", details)
         return CompletionWitness(
             r=r, s=s, word=w, left_in_star=kleene_membership(language, r)
         )
@@ -209,9 +170,9 @@ def left_star_completion(
             for piece in pieces:
                 y = y + piece
             s = coaccess[q]
-            assert kleene_membership(language, y) and kleene_membership(
-                language, y + w + s
-            )
+            if not (kleene_membership(language, y) and kleene_membership(language, y + w + s)):
+                details = {"y": y.text, "w": w.text, "s": s.text}
+                raise InternalInvariantError("left-star completion y·w·s is not in X*", details)
             return CompletionWitness(r=y, s=s, word=w, left_in_star=True)
         for idx, x in enumerate(codewords):
             t = apply_word(s_mask, x)

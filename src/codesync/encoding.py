@@ -26,6 +26,7 @@ from .automata import (
 )
 from .completeness import is_complete_language, shortest_incompletable
 from .errors import (
+    InternalInvariantError,
     NotComplete,
     NotSynchronizing,
     ParseError,
@@ -76,7 +77,8 @@ def length_profile_general(d: int) -> LengthProfile:
     gamma = 2 ** (m + 1) - d
     lengths = tuple([m] * gamma + [m + 1] * (d - gamma))
     profile = LengthProfile(2, lengths)
-    assert profile.is_complete
+    if not profile.is_complete:
+        raise InternalInvariantError("general profile is incomplete", {"d": d, "lengths": lengths})
     return profile
 
 
@@ -91,7 +93,8 @@ def length_profile_power2(d: int) -> LengthProfile:
         raise ParseError("the power-of-two profile needs d = 2^m with m ≥ 2")
     lengths = (m - 1, m + 1, m + 1) + (m,) * (d - 3)
     profile = LengthProfile(2, lengths)
-    assert profile.is_complete and profile.gcd == 1
+    if not (profile.is_complete and profile.gcd == 1):
+        raise InternalInvariantError("power-of-two profile is not complete and coprime", {"d": d})
     return profile
 
 
@@ -118,7 +121,11 @@ def kraft_canonical(profile: LengthProfile) -> FiniteLanguage:
         for _ in range(k):
             digits.append(v % profile.d)
             v //= profile.d
-        assert v == 0, "canonical allocation overflowed; Kraft sum check is broken"
+        if v:
+            raise InternalInvariantError(
+                "canonical allocation overflowed; Kraft sum check is broken",
+                {"d": profile.d, "lengths": profile.lengths},
+            )
         words.append(Word(alphabet, tuple(reversed(digits))))
         prev_len = k
     return FiniteLanguage(alphabet, tuple(words))
@@ -131,7 +138,8 @@ def _out_multisets(automaton: Automaton) -> list[list[int]]:
         targets = []
         for a in range(len(automaton.alphabet)):
             m = automaton.table[q][a]
-            assert m.bit_count() == 1
+            if m.bit_count() != 1:
+                raise InternalInvariantError("canonical automaton is not a DFA", {"state": q})
             targets.append(m.bit_length() - 1)
         out.append(sorted(targets))
     return out
@@ -181,8 +189,11 @@ def road_colored_sync_code(
         if not is_synchronizing_dfa(colored):
             return None
         y = first_return_language(colored)
-        assert is_prefix(y) and sorted(len(w) for w in y.words) == requested
-        assert is_complete_language(y)
+        details = {"words": y.word_strings()}
+        if not is_prefix(y) or sorted(len(w) for w in y.words) != requested:
+            raise InternalInvariantError("colored code lost the prefix profile", details)
+        if not is_complete_language(y):
+            raise InternalInvariantError("colored code is incomplete", details)
         return y
 
     if base.n_states <= exhaustive_limit:
@@ -297,7 +308,8 @@ def apply_encoding(encoding: Encoding, language: FiniteLanguage) -> FiniteLangua
     out = FiniteLanguage(
         encoding.target, tuple(encoding.apply(w) for w in language.words)
     )
-    assert len(out) == len(language)
+    if len(out) != len(language):
+        raise InternalInvariantError("h is not injective on X", {"words": language.word_strings()})
     return out
 
 
@@ -439,7 +451,8 @@ def reduce_sync_to_binary(
         raise NotSynchronizing("decoded pair failed verification on X")
     min_len = min(len(img) for img in h.images)
     floor_log = (d - 1).bit_length() - 1  # ⌊log₂(d−1)⌋
-    assert min_len >= floor_log
+    if min_len < floor_log:
+        raise InternalInvariantError("image word below ⌊log₂(d−1)⌋", {"d": d, "min_len": min_len})
     bound = -(-pair_b.total_length // floor_log)
     ledger = {
         "encoded_pair_length": pair_b.total_length,

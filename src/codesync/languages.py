@@ -90,11 +90,12 @@ class Word:
 
         Whitespace-separated fields are read as one token each; an unbroken
         field is tokenized by greedy longest match against the alphabet, so
-        ``ba'a`` over {a, b, a'} reads as b·a'·a.  The literal ``ε`` (or
-        ``eps``) denotes the empty word.
+        ``ba'a`` over {a, b, a'} reads as b·a'·a.  The literal ``ε``, the
+        empty string, or an ``eps`` the alphabet cannot tokenize denotes the
+        empty word.
         """
         text = text.strip()
-        if text in ("ε", "eps", ""):
+        if text in ("ε", ""):
             return cls.epsilon(alphabet)
         by_length = sorted(alphabet.symbols, key=len, reverse=True)
         tokens: list[str] = []
@@ -110,6 +111,8 @@ class Word:
                         pos += len(t)
                         break
                 else:
+                    if text == "eps":
+                        return cls.epsilon(alphabet)
                     raise ParseError(
                         f"cannot tokenize {f!r} over alphabet {alphabet.symbols!r}"
                     )
@@ -159,11 +162,14 @@ class Word:
 class FiniteLanguage:
     """A finite set of words over one alphabet, canonically ordered.
 
-    ``size`` is the maximal word length, 0 for the empty language.
+    ``size`` is the maximal word length, 0 for the empty language.  Derived
+    structures (the flower automaton, its subset families) are memoized on the
+    instance, so they live exactly as long as the language does.
     """
 
     alphabet: Alphabet
     words: tuple[Word, ...]
+    _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         for w in self.words:
@@ -171,6 +177,7 @@ class FiniteLanguage:
                 raise ParseError("word alphabet differs from language alphabet")
         canon = tuple(sorted(set(self.words), key=Word.sort_key))
         object.__setattr__(self, "words", canon)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def from_words(cls, alphabet: Alphabet, words: Iterable[Word]) -> "FiniteLanguage":

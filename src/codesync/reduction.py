@@ -34,6 +34,7 @@ from .automata import (
     states_from_mask,
     step_backward,
     step_forward,
+    subset_bfs,
 )
 from .completeness import find_completion, is_complete_language
 from .errors import (
@@ -42,7 +43,6 @@ from .errors import (
     NotComplete,
     NotSynchronizing,
     ParseError,
-    SubsetCapExceeded,
     DEFAULT_SUBSET_CAP,
 )
 from .languages import FiniteLanguage, Word, is_code, is_prefix, kleene_membership
@@ -133,9 +133,9 @@ class ReductionTrace:
 def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
     """Extend the automaton with the marked letter a′ for v₁ = u·a.
 
-    The new letter is the base token suffixed with a prime and ordered last;
-    its transitions follow the displayed rule.  All original transitions are
-    kept, so the result stays transitive.
+    The new letter is the base token suffixed with the fewest primes that make
+    it a fresh symbol, ordered last; its transitions follow the displayed rule.
+    All original transitions are kept, so the result stays transitive.
     """
     if len(v1) == 0:
         raise ParseError("the marked construction needs v₁ ≠ ε")
@@ -144,7 +144,9 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
     u, a = v1[:-1], v1.indices[-1]
     base_token = automaton.alphabet.symbols[a]
     marked_token = base_token + "'"
-    extended = automaton.alphabet.extended(marked_token)  # collision raises
+    while marked_token in automaton.alphabet:
+        marked_token += "'"
+    extended = automaton.alphabet.extended(marked_token)
 
     mark_set = step_forward(automaton, automaton.full_mask, u)
     init_bit = 1 << automaton.initial
@@ -165,7 +167,8 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
         accepting=automaton.accepting,
         labels=automaton.labels,
     )
-    assert is_transitive(aprime)
+    if not is_transitive(aprime):
+        raise InternalInvariantError("the marked automaton is not transitive", {"v1": v1.text})
     return aprime
 
 
@@ -185,32 +188,16 @@ def shortest_incompletable_min_marked(
     marked = aprime.alphabet.index(marked_symbol)
     full = aprime.full_mask
 
-    dist = {full: 0}
-    frontier = [full]
-    target_depth = None
-    while frontier and target_depth is None:
-        nxt = []
-        for s in frontier:
-            for a in range(d):
-                t = aprime.step_letter(s, a)
-                if t not in dist:
-                    dist[t] = dist[s] + 1
-                    if len(dist) > cap:
-                        raise SubsetCapExceeded(cap, "marked incompletable search")
-                    if t == 0:
-                        target_depth = dist[t]
-                        break
-                    nxt.append(t)
-            if target_depth is not None:
-                break
-        frontier = nxt
-    if target_depth is None:
+    _, shortest = subset_bfs(
+        aprime, full, goal=lambda t: not t, cap=cap, what="marked incompletable search"
+    )
+    if shortest is None:
         raise NotSynchronizing(
             "the marked automaton is complete; the input pair cannot have been synchronizing"
         )
 
     best: dict[int, tuple[int, tuple[int, ...]]] = {full: (0, ())}
-    for _ in range(target_depth):
+    for _ in range(len(shortest)):
         nxt_best: dict[int, tuple[int, tuple[int, ...]]] = {}
         for s, (marks, word) in best.items():
             for a in range(d):
@@ -221,8 +208,13 @@ def shortest_incompletable_min_marked(
                     nxt_best[t] = cand
         best = nxt_best
     marks, word = best[0]
-    assert marks >= 1
-    return Word(aprime.alphabet, word)
+    v = Word(aprime.alphabet, word)
+    if marks < 1:
+        raise InternalInvariantError(
+            "minimal incompletable word has no marked letter",
+            {"v": v.text, "marked": marked_symbol},
+        )
+    return v
 
 
 def extract_w(
@@ -268,7 +260,8 @@ def extract_w(
             "inclusion Qw₁ ⊆ Qv₁ failed after the split",
             {"w1": w1.text, "v1": v1.text},
         )
-    assert len(w1) <= len(v)
+    if len(w1) > len(v):
+        raise InternalInvariantError("|w₁| ≤ |v| failed", {"w1": w1.text, "v": v.text})
     return w1, u1, u2
 
 

@@ -9,8 +9,8 @@ Two checkers certify a pair (u, v) ∈ X* × X*:
   completion context splits:  δ(S, uv) ∩ T ≠ ∅ implies 1 ∈ δ(S, u) and
   δ(1, v) ∩ T ≠ ∅.
 
-Both subset families are finite, computed once per language and cached, since
-pair testing is the hot path of the exact search.
+Both subset families are finite, computed once per language and memoized on
+it, since pair testing is the hot path of the exact search.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Optional
 
 from .automata import (
@@ -27,6 +27,7 @@ from .automata import (
     is_deterministic,
     step_backward,
     step_forward,
+    subset_bfs,
 )
 from .errors import (
     AutomatonContractError,
@@ -52,44 +53,29 @@ class SyncPair:
         return len(self.u) + len(self.v)
 
 
-def _close_family(automaton: Automaton, start: int, back: bool, cap: int) -> list[int]:
-    d = len(automaton.alphabet)
-    step = automaton.step_letter_back if back else automaton.step_letter
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        for a in range(d):
-            t = step(s, a)
-            if t and t not in seen:
-                seen.add(t)
-                if len(seen) > cap:
-                    raise SubsetCapExceeded(cap, "subset family closure")
-                queue.append(t)
-    return queue
+def _family(language: FiniteLanguage, full: bool, back: bool, cap: int) -> tuple[int, ...]:
+    """The nonempty subsets δ(S, w) (δ(S, w⁻¹) when ``back``) over all words w,
+    from S = Q when ``full`` and S = {1} otherwise; memoized on the language."""
+    key = ("family", full, back)
+    family = language._memo.get(key)
+    if family is None:
+        automaton = flower_automaton(language)
+        start = automaton.full_mask if full else 1 << automaton.initial
+        order, _ = subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")
+        family = language._memo[key] = tuple(order)
+    elif len(family) > cap:
+        raise SubsetCapExceeded(cap, "subset family closure")
+    return family
 
 
-@lru_cache(maxsize=256)
 def _context_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tuple[int, ...], tuple[int, ...]]:
     """Flower automaton plus the families {δ(1,r)} and {T_s} used by the
     general checker and the constant test."""
-    automaton = flower_automaton(language)
-    init = 1 << automaton.initial
-    fwd = _close_family(automaton, init, back=False, cap=cap)
-    bwd = _close_family(automaton, init, back=True, cap=cap)
-    return automaton, tuple(fwd), tuple(bwd)
-
-
-@lru_cache(maxsize=256)
-def _full_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tuple[int, ...], tuple[int, ...]]:
-    """Families {δ(Q,w)} and {δ(Q,w⁻¹)} from the full state set."""
-    automaton = flower_automaton(language)
-    full = automaton.full_mask
-    fwd = _close_family(automaton, full, back=False, cap=cap)
-    bwd = _close_family(automaton, full, back=True, cap=cap)
-    return automaton, tuple(fwd), tuple(bwd)
+    return (
+        flower_automaton(language),
+        _family(language, False, False, cap),
+        _family(language, False, True, cap),
+    )
 
 
 def _check_in_star(language: FiniteLanguage, w: Word, name: str) -> None:
@@ -145,8 +131,7 @@ def is_sync_pair(
     if method == "auto":
         method = "code" if (not language.contains_epsilon and is_code(language)) else "general"
     if method == "code":
-        automaton, _, _ = _context_families(language, cap)
-        return _code_pair_check(automaton, u, v)
+        return _code_pair_check(flower_automaton(language), u, v)
     if method == "general":
         automaton, fwd, bwd = _context_families(language, cap)
         return _general_pair_check(automaton, fwd, bwd, u, v)
@@ -162,10 +147,9 @@ def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CA
     """
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    automaton, fwd, bwd = _full_families(language, cap)
-    init = 1 << automaton.initial
-    bwd_set = set(bwd)
-    for s in fwd:
+    init = 1 << flower_automaton(language).initial
+    bwd_set = set(_family(language, True, True, cap))
+    for s in _family(language, True, False, cap):
         if s & init and any(s & t == init for t in bwd_set):
             return True
     return False
@@ -197,38 +181,14 @@ def sync_word_shortest(
     if not is_deterministic(automaton):
         raise AutomatonContractError("reset words need a deterministic automaton")
     d = len(automaton.alphabet)
-    full = automaton.full_mask
     for q in range(automaton.n_states):
         if any(automaton.table[q][a] == 0 for a in range(d)):
             raise AutomatonContractError("reset words need a complete automaton")
-    if full.bit_count() == 1:
-        return Word.epsilon(automaton.alphabet)
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {full}
-    queue = [full]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        for a in range(d):
-            t = automaton.step_letter(s, a)
-            if t in seen:
-                continue
-            seen.add(t)
-            if len(seen) > cap:
-                raise SubsetCapExceeded(cap, "reset-word search")
-            parent[t] = (s, a)
-            if t.bit_count() == 1:
-                letters = []
-                cur = t
-                while cur != full:
-                    prev, letter = parent[cur]
-                    letters.append(letter)
-                    cur = prev
-                letters.reverse()
-                return Word(automaton.alphabet, tuple(letters))
-            queue.append(t)
-    return None
+    _, word = subset_bfs(
+        automaton, automaton.full_mask, goal=lambda t: t.bit_count() == 1, cap=cap,
+        what="reset-word search",
+    )
+    return word
 
 
 def is_synchronizing_dfa(automaton: Automaton) -> bool:
@@ -262,15 +222,17 @@ def is_synchronizing_dfa(automaton: Automaton) -> bool:
     return all(pair in mergeable for pair in itertools.combinations(range(n), 2))
 
 
-def _star_reps_forward(
-    language: FiniteLanguage, automaton: Automaton, budget: int, cap: int
+def _star_reps(
+    language: FiniteLanguage, automaton: Automaton, budget: int, cap: int, back: bool
 ) -> list[tuple[int, tuple[int, ...], int]]:
-    """Minimal X*-representatives of the subsets δ(Q, u), u ∈ X*, |u| ≤ budget.
+    """Minimal X*-representatives of the subsets δ(Q, u), u ∈ X*, |u| ≤ budget,
+    or of δ(Q, v⁻¹) when ``back``, growing v by prepending codewords.
 
     Returns (length, indices, mask) sorted by (length, indices); each distinct
     mask keeps only its (length, lex)-least witness, which is enough for the
     code-path search because the pair test depends on u only through δ(Q, u).
     """
+    step = step_backward if back else step_forward
     full = automaton.full_mask
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), full)]
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -281,42 +243,16 @@ def _star_reps_forward(
             continue
         best[mask] = (length, word)
         if len(best) > cap:
-            raise SubsetCapExceeded(cap, "sync-pair forward enumeration")
+            what = "sync-pair backward enumeration" if back else "sync-pair forward enumeration"
+            raise SubsetCapExceeded(cap, what)
         out.append((length, word, mask))
         for x in language.words:
             nl = length + len(x)
             if nl > budget:
                 continue
-            nm = step_forward(automaton, mask, x)
+            nm = step(automaton, mask, x)
             if nm not in best:
-                heapq.heappush(heap, (nl, word + x.indices, nm))
-    return out
-
-
-def _star_reps_backward(
-    language: FiniteLanguage, automaton: Automaton, budget: int, cap: int
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """Same as :func:`_star_reps_forward` for the subsets δ(Q, v⁻¹), growing v
-    by prepending codewords."""
-    full = automaton.full_mask
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), full)]
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    out = []
-    while heap:
-        length, word, mask = heapq.heappop(heap)
-        if mask in best:
-            continue
-        best[mask] = (length, word)
-        if len(best) > cap:
-            raise SubsetCapExceeded(cap, "sync-pair backward enumeration")
-        out.append((length, word, mask))
-        for x in language.words:
-            nl = length + len(x)
-            if nl > budget:
-                continue
-            nm = step_backward(automaton, mask, x)
-            if nm not in best:
-                heapq.heappush(heap, (nl, x.indices + word, nm))
+                heapq.heappush(heap, (nl, x.indices + word if back else word + x.indices, nm))
     return out
 
 
@@ -357,10 +293,10 @@ def shortest_sync_pair(
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
     code = is_code(language)
+    automaton = flower_automaton(language)
     if code and where is None:
-        automaton, _, _ = _context_families(language, cap)
-        fwd = _star_reps_forward(language, automaton, budget, cap)
-        bwd = _star_reps_backward(language, automaton, budget, cap)
+        fwd = _star_reps(language, automaton, budget, cap, back=False)
+        bwd = _star_reps(language, automaton, budget, cap, back=True)
         init = 1 << automaton.initial
         by_len: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for length, word, mask in bwd:
@@ -377,15 +313,14 @@ def shortest_sync_pair(
                             checked_by="code",
                         )
         return None
-    automaton, fwd_fam, bwd_fam = _context_families(language, cap)
     words = _star_words(language, budget)
     by_len: dict[int, list[tuple[int, ...]]] = {}
     for lv, wv in words:
         by_len.setdefault(lv, []).append(wv)
     checker = (
-        (lambda u, v: _code_pair_check(automaton, u, v))
+        partial(_code_pair_check, automaton)
         if code
-        else (lambda u, v: _general_pair_check(automaton, fwd_fam, bwd_fam, u, v))
+        else partial(_general_pair_check, *_context_families(language, cap))
     )
     for total in range(budget + 1):
         for lu, wu in words:

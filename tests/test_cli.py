@@ -62,7 +62,7 @@ def test_syncpair_check_true_false(capsys, example_file):
 
 
 def test_syncpair_exact(capsys, example_file):
-    code, data = run_json(capsys, ["syncpair", example_file, "--exact", "--budget", "6", "--json"])
+    code, data = run_json(capsys, ["syncpair", example_file, "--budget", "6", "--json"])
     assert code == 0
     assert data["total_length"] == 4
 

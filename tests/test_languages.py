@@ -175,3 +175,9 @@ def test_prefix_implies_code():
 def test_brute_is_code_helper_consistency():
     assert brute_is_code(lang(["b", "ba", "aa"]), 8)
     assert not brute_is_code(lang(EXAMPLE_SET), 8)
+
+
+def test_eps_is_a_word_when_the_alphabet_tokenizes_it():
+    x = parse_language("alphabet: e p s\neps\ne\n")
+    assert x.word_strings() == ["e", "eps"]
+    assert Word.parse("eps", BINARY) == Word.epsilon(BINARY)

@@ -76,7 +76,7 @@ def test_aprime_first_return_is_the_fifteen_word_set():
     assert y.size == x.size == 4
 
 
-def test_aprime_rejects_empty_v1_and_collisions():
+def test_aprime_rejects_empty_v1_and_renames_colliding_mark():
     x = lang(EXAMPLE_PREFIX)
     a = flower_automaton(x)
     with pytest.raises(ParseError):
@@ -85,9 +85,9 @@ def test_aprime_rejects_empty_v1_and_collisions():
 
     primed = Alphabet.of("a", "a'")
     clash = FiniteLanguage.from_strings(["a a'", "a' a"], primed)
-    with pytest.raises(ParseError):
-        # v1 ends with the base letter a, whose marked copy a' already exists
-        build_aprime(flower_automaton(clash), Word.parse("a' a", primed))
+    # v1 ends with the base letter a, whose marked copy a' already exists
+    aprime = build_aprime(flower_automaton(clash), Word.parse("a' a", primed))
+    assert aprime.alphabet.symbols == ("a", "a'", "a''")
 
 
 def test_min_marked_incompletable_word():
@@ -272,3 +272,15 @@ def test_pipeline_final_pairs_reverify_both_checkers():
         assert trace.bound_ok
         if not trace.left.skipped:
             assert kleene_membership(x, trace.input_pair.u)
+
+
+def test_reduction_picks_a_fresh_mark_when_the_primed_token_exists():
+    from codesync import Alphabet, FiniteLanguage, is_prefix, is_synchronizing_code
+
+    primed = Alphabet.of("b", "b'")
+    x = FiniteLanguage(primed, tuple(Word(primed, v.indices) for v in cerny_family(3).words))
+    assert is_prefix(x) and is_complete_language(x) and is_synchronizing_code(x)
+    pair, trace = synchronizing_pair_via_reduction(x)
+    assert is_sync_pair(x, pair.u, pair.v, method="code")
+    assert is_sync_pair(x, pair.u, pair.v, method="general")
+    assert trace.left.marked_symbol not in primed
