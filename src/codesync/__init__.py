@@ -42,6 +42,7 @@ from .automata import (
     is_deterministic,
     is_transitive,
     is_unambiguous,
+    layered_search,
     mask_from_states,
     reverse,
     states_from_mask,

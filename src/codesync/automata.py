@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from .errors import (
     AutomatonContractError,
@@ -260,6 +260,29 @@ def subset_bfs(
         hit, a = parent[hit]
         word.append(a)
     return order, Word(automaton.alphabet, tuple(reversed(word)))
+
+
+def layered_search(
+    start: Hashable, key: Any, expand: Callable, *, cap: int = DEFAULT_SUBSET_CAP, what: str
+) -> Iterator[dict]:
+    """Yield, length by length, the states first reached at that length, each
+    with the least key that ``expand(state, key)`` gives it from the previous
+    level.  Exact for keys ordered compatibly with extension: every prefix of a
+    least-key shortest witness reaches its state at that state's distance.
+    The cap on distinct states is checked once the caller has seen a level.
+    """
+    level, seen = {start: key}, {start}
+    while level:
+        yield level
+        if len(seen) > cap:
+            raise SubsetCapExceeded(cap, what)
+        nxt: dict = {}
+        for s, k in level.items():
+            for t, kt in expand(s, k):
+                if t not in seen and (t not in nxt or kt < nxt[t]):
+                    nxt[t] = kt
+        seen.update(nxt)
+        level = nxt
 
 
 def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> bool:

@@ -30,11 +30,11 @@ from .automata import (
     first_return_language,
     flower_automaton,
     is_transitive,
+    layered_search,
     reverse,
     states_from_mask,
     step_backward,
     step_forward,
-    subset_bfs,
 )
 from .completeness import find_completion, is_complete_language
 from .errors import (
@@ -177,44 +177,37 @@ def shortest_incompletable_min_marked(
 ) -> Word:
     """Minimal-length incompletable word with minimal marked-letter count.
 
-    A plain breadth-first search fixes the minimal length L of a word v with
-    δ′(Q, v) = ∅; a level-synchronised pass then keeps, per subset and level,
-    the best (marked count, word) prefix, which is exact because the secondary
-    cost of a completion does not depend on how its start subset was reached.
-    Raises :class:`NotSynchronizing` when the automaton is complete, which
-    signals that the input pair was not synchronizing.
+    One level-by-level search from Q keeps, per subset first reached at each
+    length, the least (marked count, word) prefix and stops at the first level
+    that reaches ∅.  This is exact because a prefix of a shortest word v with
+    δ′(Q, v) = ∅ reaches its subset at that subset's distance, and the cost of
+    a completion does not depend on how its start subset was reached.  Raises
+    :class:`NotSynchronizing` when the automaton is complete, which signals
+    that the input pair was not synchronizing.
     """
-    d = len(aprime.alphabet)
     marked = aprime.alphabet.index(marked_symbol)
-    full = aprime.full_mask
+    letters = range(len(aprime.alphabet))
 
-    _, shortest = subset_bfs(
-        aprime, full, goal=lambda t: not t, cap=cap, what="marked incompletable search"
+    def expand(s, key):
+        marks, word = key
+        for a in letters:
+            yield aprime.step_letter(s, a), (marks + (a == marked), word + (a,))
+
+    for level in layered_search(
+        aprime.full_mask, (0, ()), expand, cap=cap, what="marked incompletable search"
+    ):
+        if 0 in level:
+            marks, word = level[0]
+            v = Word(aprime.alphabet, word)
+            if marks < 1:
+                raise InternalInvariantError(
+                    "minimal incompletable word has no marked letter",
+                    {"v": v.text, "marked": marked_symbol},
+                )
+            return v
+    raise NotSynchronizing(
+        "the marked automaton is complete; the input pair cannot have been synchronizing"
     )
-    if shortest is None:
-        raise NotSynchronizing(
-            "the marked automaton is complete; the input pair cannot have been synchronizing"
-        )
-
-    best: dict[int, tuple[int, tuple[int, ...]]] = {full: (0, ())}
-    for _ in range(len(shortest)):
-        nxt_best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for s, (marks, word) in best.items():
-            for a in range(d):
-                t = aprime.step_letter(s, a)
-                cand = (marks + (1 if a == marked else 0), word + (a,))
-                cur = nxt_best.get(t)
-                if cur is None or cand < cur:
-                    nxt_best[t] = cand
-        best = nxt_best
-    marks, word = best[0]
-    v = Word(aprime.alphabet, word)
-    if marks < 1:
-        raise InternalInvariantError(
-            "minimal incompletable word has no marked letter",
-            {"v": v.text, "marked": marked_symbol},
-        )
-    return v
 
 
 def extract_w(

@@ -15,16 +15,16 @@ it, since pair testing is the hot path of the exact search.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automata import (
     Automaton,
     flower_automaton,
     is_deterministic,
+    layered_search,
     step_backward,
     step_forward,
     subset_bfs,
@@ -222,38 +222,36 @@ def is_synchronizing_dfa(automaton: Automaton) -> bool:
     return all(pair in mergeable for pair in itertools.combinations(range(n), 2))
 
 
-def _star_reps(
-    language: FiniteLanguage, automaton: Automaton, budget: int, cap: int, back: bool
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """Minimal X*-representatives of the subsets δ(Q, u), u ∈ X*, |u| ≤ budget,
-    or of δ(Q, v⁻¹) when ``back``, growing v by prepending codewords.
+def _star_reps(automaton: Automaton, cap: int, back: bool) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """Minimal X*-representatives of the subsets δ(Q, u), u ∈ X*, one length
+    at a time, or of δ(Q, v⁻¹) when ``back``, growing v by prepending letters.
 
-    Returns (length, indices, mask) sorted by (length, indices); each distinct
-    mask keeps only its (length, lex)-least witness, which is enough for the
-    code-path search because the pair test depends on u only through δ(Q, u).
+    Searches the product states (δ(Q, u), δ(1, u)), capped in number, letter
+    by letter; u ∈ X* iff 1 ∈ δ(1, u).  Level L lists, sorted by word, the
+    masks first reached by a word of X* of length L, each with its lex-least
+    such word, which is enough for the code-path search because the pair test
+    depends on u only through δ(Q, u).
     """
-    step = step_backward if back else step_forward
-    full = automaton.full_mask
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), full)]
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    out = []
-    while heap:
-        length, word, mask = heapq.heappop(heap)
-        if mask in best:
-            continue
-        best[mask] = (length, word)
-        if len(best) > cap:
-            what = "sync-pair backward enumeration" if back else "sync-pair forward enumeration"
-            raise SubsetCapExceeded(cap, what)
-        out.append((length, word, mask))
-        for x in language.words:
-            nl = length + len(x)
-            if nl > budget:
-                continue
-            nm = step(automaton, mask, x)
-            if nm not in best:
-                heapq.heappush(heap, (nl, x.indices + word if back else word + x.indices, nm))
-    return out
+    step = automaton.step_letter_back if back else automaton.step_letter
+    init = 1 << automaton.initial
+    letters = range(len(automaton.alphabet))
+
+    def expand(state, word):
+        mask, reach = state
+        for a in letters:
+            nxt = step(reach, a)
+            if nxt:  # δ(1, ·) = ∅: no extension lies in X*
+                yield (step(mask, a), nxt), ((a,) + word if back else word + (a,))
+
+    what = "sync-pair backward enumeration" if back else "sync-pair forward enumeration"
+    done: set[int] = set()
+    for level in layered_search((automaton.full_mask, init), (), expand, cap=cap, what=what):
+        reps: dict[int, tuple[int, ...]] = {}
+        for (mask, reach), word in level.items():
+            if reach & init and mask not in done and (mask not in reps or word < reps[mask]):
+                reps[mask] = word
+        done.update(reps)
+        yield sorted((word, mask) for mask, word in reps.items())
 
 
 def _star_words(language: FiniteLanguage, budget: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -280,10 +278,10 @@ def shortest_sync_pair(
 ) -> Optional[SyncPair]:
     """Exact search for a synchronizing pair of minimal total length.
 
-    Candidates u, v are enumerated as codeword concatenations (the definition
-    requires u, v ∈ X*) in nondecreasing |uv|, with ties broken by
-    (|u|, lex u, lex v).  Returns None when no pair with |uv| ≤ budget exists;
-    X may still be synchronizing via longer pairs.
+    Candidates u, v ∈ X* (as the definition requires) are tested in
+    nondecreasing |uv|, with ties broken by (|u|, lex u, lex v), each total as
+    soon as both sides have reached its length.  Returns None when no pair
+    with |uv| ≤ budget exists; X may still be synchronizing via longer pairs.
 
     ``where(u, v)`` optionally filters acceptable pairs.  A filter disables
     the subset-representative compression of the code path, because distinct
@@ -295,23 +293,17 @@ def shortest_sync_pair(
     code = is_code(language)
     automaton = flower_automaton(language)
     if code and where is None:
-        fwd = _star_reps(language, automaton, budget, cap, back=False)
-        bwd = _star_reps(language, automaton, budget, cap, back=True)
         init = 1 << automaton.initial
-        by_len: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for length, word, mask in bwd:
-            by_len.setdefault(length, []).append((word, mask))
+        fwd_reps = _star_reps(automaton, cap, back=False)
+        bwd_reps = _star_reps(automaton, cap, back=True)
+        fwd, bwd = [], []  # representatives by length
         for total in range(budget + 1):
-            for lu, wu, mu in fwd:
-                if lu > total:
-                    break
-                for wv, mv in by_len.get(total - lu, ()):  # lex-sorted already
+            fwd.append(next(fwd_reps, []))
+            bwd.append(next(bwd_reps, []))
+            for lu in range(total + 1):
+                for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
                     if mu & mv == init:
-                        return SyncPair(
-                            u=Word(language.alphabet, wu),
-                            v=Word(language.alphabet, wv),
-                            checked_by="code",
-                        )
+                        return SyncPair(Word(language.alphabet, wu), Word(language.alphabet, wv), "code")
         return None
     words = _star_words(language, budget)
     by_len: dict[int, list[tuple[int, ...]]] = {}

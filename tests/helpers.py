@@ -26,6 +26,14 @@ def w(text: str, alphabet: Alphabet = BINARY) -> Word:
     return Word.parse(text, alphabet)
 
 
+def swap_letters(language: FiniteLanguage) -> FiniteLanguage:
+    """The image of a binary language under the letter swap a ↔ b."""
+    return FiniteLanguage(
+        language.alphabet,
+        tuple(Word(language.alphabet, tuple(1 - a for a in u.indices)) for u in language.words),
+    )
+
+
 EXAMPLE_SET = ("aa", "ab", "ba", "baa", "bbb")  # the running incomplete example
 EXAMPLE_PREFIX = ("a", "baaa", "baab", "bab", "bb")  # the complete prefix example
 

@@ -22,10 +22,12 @@ from codesync import (
     reverse,
     shortest_incompletable,
     shortest_incompletable_min_marked,
+    shortest_sync_pair,
     subset_bfs,
     sync_word_shortest,
 )
 from codesync.experiments import enumerate_class_languages
+from codesync.synchrony import _star_reps
 
 from helpers import EXAMPLE_PREFIX, EXAMPLE_SET, lang, w
 
@@ -76,6 +78,11 @@ def _prefix_aprime():
         (lambda: is_synchronizing_code(cerny_family(4), cap=1), "subset family closure"),
         (lambda: is_sync_pair(lang(EXAMPLE_SET), w("ab"), w("ba"), method="general", cap=1),
          "subset family closure"),
+        (lambda: shortest_sync_pair(cerny_family(4), 9, cap=1), "sync-pair forward enumeration"),
+        # the pair search finishes each forward level first, so a cap small
+        # enough to stop the backward side stops the forward side before it
+        (lambda: list(_star_reps(flower_automaton(cerny_family(4)), 1, back=True)),
+         "sync-pair backward enumeration"),
     ],
 )
 def test_tiny_cap_raises_with_context(call, context):

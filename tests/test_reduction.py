@@ -144,6 +144,70 @@ def test_min_marked_raises_on_complete_automaton():
         shortest_incompletable_min_marked(complete, "a'")
 
 
+def _brute_min_marked(aprime, marked_symbol):
+    """Least (marked count, word) over the shortest words v with δ′(Q, v) = ∅,
+    by listing every word of each length in lex order with its image; images
+    are taken state by state from the transition table."""
+    from codesync.automata import mask_from_states, states_from_mask
+
+    marked = aprime.alphabet.index(marked_symbol)
+    letters = range(len(aprime.alphabet))
+    images = {}
+
+    def image(mask, a):
+        if (mask, a) not in images:
+            images[mask, a] = mask_from_states(
+                t for q in states_from_mask(mask) for t in states_from_mask(aprime.table[q][a])
+            )
+        return images[mask, a]
+
+    level = [((), aprime.full_mask)]
+    while True:
+        level = [(word + (a,), image(mask, a)) for word, mask in level for a in letters]
+        dead = [(word.count(marked), word) for word, mask in level if not mask]
+        if dead:
+            return Word(aprime.alphabet, min(dead)[1])
+
+
+def _min_marked_instances():
+    from codesync import cerny_canonical_pair, reverse
+
+    cases = []
+    for n in (3, 4):
+        u = cerny_canonical_pair(n).u
+        cases.append((cerny_family(n), u, Word.epsilon(u.alphabet)))
+        cases.append((cerny_family(n), Word.epsilon(u.alphabet), u))
+    for x in random_complete_sync_codes(6, seed=3, max_size=4):
+        pair = shortest_sync_pair(x, 12)
+        cases.append((x, pair.u, pair.v))
+    # complete codes where the lex-least shortest incompletable word carries
+    # two marked letters and the witness only one
+    for words, u, v in (
+        (["c", "aa", "ab", "ac", "ba", "bb", "bc"], "aa", "ε"),
+        (["ab", "ba", "bb", "aaa", "baa"], "abba", "ε"),
+        (["c", "aa", "ba", "ca", "cb", "aab", "abb", "bab", "bbb", "cab", "cbb"], "ε", "aaaaabb"),
+    ):
+        x = lang(words)
+        cases.append((x, Word.parse(u, x.alphabet), Word.parse(v, x.alphabet)))
+    for x, u, v in cases:
+        base = flower_automaton(x)
+        if len(u):
+            yield build_aprime(base, u)
+        if len(v):
+            yield build_aprime(reverse(base), v.reversed())
+
+
+def test_min_marked_matches_brute_force_on_both_sides():
+    witnesses = []
+    for aprime in _min_marked_instances():
+        marked_symbol = aprime.alphabet.symbols[-1]
+        v = shortest_incompletable_min_marked(aprime, marked_symbol)
+        assert v == _brute_min_marked(aprime, marked_symbol), v.text
+        witnesses.append(v.text)
+    assert len(witnesses) == 13
+    assert witnesses[-3:] == ["caa'", "ba'baab", "caa'"]
+
+
 def test_extract_w_on_prefix_example():
     x, aprime = prefix_example_aprime()
     base = flower_automaton(x)

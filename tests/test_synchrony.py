@@ -22,7 +22,7 @@ from codesync import (
 )
 from codesync.automata import Automaton
 
-from helpers import BINARY, EXAMPLE_PREFIX, EXAMPLE_SET, exhaustive_corpus, lang, w
+from helpers import BINARY, EXAMPLE_PREFIX, EXAMPLE_SET, exhaustive_corpus, lang, swap_letters, w
 
 
 def test_known_pairs_certify():
@@ -207,20 +207,42 @@ def test_shortest_pair_determinism():
 def test_compressed_and_plain_searches_agree_on_codes():
     # the code path dedupes candidate words by their subset dynamics; forcing
     # the plain enumeration (via a trivial filter) must find the same minimal
-    # pair under the same tie-break
-    count = 0
-    for x in exhaustive_corpus()[::15]:
-        if not is_code(x):
-            continue
-        fast = shortest_sync_pair(x, budget=5)
-        slow = shortest_sync_pair(x, budget=5, where=lambda u, v: True)
+    # pair under the same tie-break.  X_n has a single backward
+    # representative, so the generated suffix codes, letters swapped or not,
+    # are what compares candidate v's of equal length.
+    from codesync.experiments import random_complete_sync_codes
+
+    cases = [(x, 5) for x in exhaustive_corpus()[::15] if is_code(x)]
+    for code in random_complete_sync_codes(30, seed=11, max_size=5):
+        cases += [(code, 10), (swap_letters(code), 10)]
+    count = nonempty_v = 0
+    for x, budget in cases:
+        fast = shortest_sync_pair(x, budget=budget)
+        slow = shortest_sync_pair(x, budget=budget, where=lambda u, v: True)
         if fast is None:
             assert slow is None, x.word_strings()
         else:
             assert slow is not None
             assert (fast.u, fast.v) == (slow.u, slow.v), x.word_strings()
             count += 1
-    assert count > 5
+            nonempty_v += budget == 10 and len(fast.v) > 0
+    assert count > 5 and nonempty_v >= 20
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_cerny_pair_reset_and_reduction_beyond_six(n):
+    from codesync import synchronizing_pair_via_reduction
+
+    x = cerny_family(n)
+    pair = shortest_sync_pair(x, (n - 1) ** 2)
+    assert pair.total_length == (n - 1) ** 2
+    assert is_sync_pair(x, pair.u, pair.v, method="code")
+    assert is_sync_pair(x, pair.u, pair.v, method="general")
+    m = determinize_minimize(flower_automaton(x))
+    assert m.n_states == n
+    assert len(sync_word_shortest(m)) == n * n - 3 * n + 3
+    _, trace = synchronizing_pair_via_reduction(x, cerny_canonical_pair(n))
+    assert trace.bound_ok
 
 
 def test_checker_agreement_spot():
