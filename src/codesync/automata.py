@@ -66,21 +66,19 @@ class Automaton:
             raise AutomatonContractError("initial state out of range")
         if len(self.table) != self.n_states:
             raise AutomatonContractError("transition table has wrong number of rows")
-        full = (1 << self.n_states) - 1
+        n = self.n_states
         for row in self.table:
             if len(row) != len(self.alphabet):
                 raise AutomatonContractError("transition row has wrong arity")
             for m in row:
-                if m & ~full:
+                if m < 0 or m >> n:
                     raise AutomatonContractError("transition target out of range")
         # per-letter views: rows[a][q] and their reverses, for the hot loops
-        d = len(self.alphabet)
-        rows = tuple(tuple(self.table[q][a] for q in range(self.n_states)) for a in range(d))
+        rows = tuple(zip(*self.table))
         rev = []
-        for a in range(d):
-            back = [0] * self.n_states
-            for q in range(self.n_states):
-                m = rows[a][q]
+        for row in rows:
+            back = [0] * n
+            for q, m in enumerate(row):
                 while m:
                     t = (m & -m).bit_length() - 1
                     back[t] |= 1 << q
@@ -193,9 +191,8 @@ def flower_automaton(language: FiniteLanguage) -> Automaton:
             if t in word_set:
                 m |= 1
             table[i][a] = m
-    labels = tuple(
-        "1" if not p else Word(language.alphabet, p).text for p in ordered
-    )
+    symbols = language.alphabet.symbols
+    labels = ("1",) + tuple("".join(symbols[a] for a in p) for p in ordered[1:])
     automaton = Automaton(
         n_states=len(ordered),
         alphabet=language.alphabet,

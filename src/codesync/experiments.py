@@ -95,14 +95,41 @@ def _word_pool(alphabet: Alphabet, n: int) -> list[Word]:
     return pool
 
 
-def _canonical_under_permutation(words: tuple[tuple[int, ...], ...], d: int) -> bool:
-    """Keep only the lexicographically least representative of each orbit."""
-    me = tuple(sorted(words))
-    for perm in itertools.permutations(range(d)):
-        if perm == tuple(range(d)):
-            continue
-        image = tuple(sorted(tuple(perm[i] for i in w) for w in words))
-        if image < me:
+def _or_tables(values: list[int], half: int) -> tuple[list[int], list[int]]:
+    """Lookup tables for the OR of ``values[i]`` over the set bits i of a
+    pool mask: the low ``half`` bits index the first, the rest the second."""
+
+    def table(vs: list[int]) -> list[int]:
+        t = [0]
+        for v in vs:
+            t += [m | v for m in t]
+        return t
+
+    return table(values[:half]), table(values[half:])
+
+
+def _rank_tables(pool: list[Word], d: int, half: int) -> list[tuple[list[int], list[int]]]:
+    """Per letter permutation, identity first: OR tables of the bit that each
+    pool word's image has in the plain lexicographic order of index tuples,
+    so that a rank mask encodes a word set sorted as a Python tuple."""
+    rank = {u: r for r, u in enumerate(sorted(w.indices for w in pool))}
+    return [
+        _or_tables([1 << rank[tuple(perm[a] for a in w.indices)] for w in pool], half)
+        for perm in itertools.permutations(range(d))
+    ]
+
+
+def _is_canonical(lo: int, hi: int, ranks: list[tuple[list[int], list[int]]]) -> bool:
+    """Keep only the lexicographically least representative of each orbit.
+
+    Two sorted word lists of equal size first differ at the least word in
+    their symmetric difference, the lowest set bit of the XOR of their rank
+    masks; the list holding that word is the smaller.
+    """
+    me = ranks[0][0][lo] | ranks[0][1][hi]
+    for low, high in ranks[1:]:
+        diff = (low[lo] | high[hi]) ^ me
+        if diff & -diff & ~me:
             return False
     return True
 
@@ -131,9 +158,11 @@ def enumerate_class_languages(
 ) -> Iterator[FiniteLanguage]:
     """All nonempty languages of size ≤ n on d letters in the class.
 
-    Enumerates subsets of the word pool A^{≤n} (ε excluded); the candidate
-    count 2^|pool| must stay under the instance cap, otherwise random mode is
-    the way out.
+    Enumerates subsets of the word pool A^{≤n} (ε excluded) as pool-index
+    bitmasks in ascending order; the candidate count 2^|pool| must stay under
+    the instance cap, otherwise random mode is the way out.  The prefix-class
+    and letter-permutation tests run on the masks through tables built once
+    per call, so words and languages are built only for masks that pass.
     """
     alphabet = Alphabet.lowercase(d)
     pool = _word_pool(alphabet, n)
@@ -142,12 +171,20 @@ def enumerate_class_languages(
             f"exhaustive enumeration needs 2^{len(pool)} candidates; "
             f"cap is {instance_cap} — use random mode"
         )
+    half = len(pool) // 2
+    ranks = _rank_tables(pool, d, half) if canonicalize else None
+    # for each pool word, the mask of pool words it is a proper prefix of
+    extensions = _or_tables(
+        [sum(1 << j for j, v in enumerate(pool) if len(u) < len(v) and v.startswith(u)) for u in pool],
+        half,
+    ) if class_tag in ("prefix", "complete-prefix") else None
     for bits in range(1, 2 ** len(pool)):
-        chosen = tuple(pool[i] for i in range(len(pool)) if (bits >> i) & 1)
-        if canonicalize and not _canonical_under_permutation(
-            tuple(w.indices for w in chosen), d
-        ):
+        lo, hi = bits & ((1 << half) - 1), bits >> half
+        if extensions is not None and (extensions[0][lo] | extensions[1][hi]) & bits:
             continue
+        if ranks is not None and not _is_canonical(lo, hi, ranks):
+            continue
+        chosen = tuple(pool[i] for i in range(len(pool)) if (bits >> i) & 1)
         language = FiniteLanguage(alphabet, chosen)
         if _in_class(language, class_tag, cap):
             yield language

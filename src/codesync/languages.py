@@ -208,7 +208,8 @@ class FiniteLanguage:
 
     @property
     def contains_epsilon(self) -> bool:
-        return any(len(w) == 0 for w in self.words)
+        # the words are sorted by length, so ε can only come first
+        return bool(self.words) and not self.words[0].indices
 
     def __len__(self) -> int:
         return len(self.words)

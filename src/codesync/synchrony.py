@@ -254,20 +254,21 @@ def _star_reps(automaton: Automaton, cap: int, back: bool) -> Iterator[list[tupl
         yield sorted((word, mask) for mask, word in reps.items())
 
 
-def _star_words(language: FiniteLanguage, budget: int) -> list[tuple[int, tuple[int, ...]]]:
-    """All distinct words of X* up to the length budget, sorted (length, lex)."""
-    seen: set[tuple[int, ...]] = {()}
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for x in language.words:
-                c = w + x.indices
-                if len(c) <= budget and c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return sorted((len(w), w) for w in seen)
+def _star_words(language: FiniteLanguage) -> Iterator[list[tuple[int, ...]]]:
+    """The distinct words of X*, one length at a time, each level sorted lex.
+
+    Level L extends level L − |x| by x for every x ∈ X, so X must be ε-free.
+    """
+    levels: list[list[tuple[int, ...]]] = [[()]]
+    while True:
+        yield levels[-1]
+        length = len(levels)
+        levels.append(sorted({
+            w + x.indices
+            for x in language.words
+            if len(x) <= length
+            for w in levels[length - len(x)]
+        }))
 
 
 def shortest_sync_pair(
@@ -305,26 +306,24 @@ def shortest_sync_pair(
                     if mu & mv == init:
                         return SyncPair(Word(language.alphabet, wu), Word(language.alphabet, wv), "code")
         return None
-    words = _star_words(language, budget)
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for lv, wv in words:
-        by_len.setdefault(lv, []).append(wv)
     checker = (
         partial(_code_pair_check, automaton)
         if code
         else partial(_general_pair_check, *_context_families(language, cap))
     )
+    levels = _star_words(language)
+    words = []  # words of X* by length
     for total in range(budget + 1):
-        for lu, wu in words:
-            if lu > total:
-                break
-            for wv in by_len.get(total - lu, ()):
-                u = Word(language.alphabet, wu)
-                v = Word(language.alphabet, wv)
-                if where is not None and not where(u, v):
-                    continue
-                if checker(u, v):
-                    return SyncPair(u=u, v=v, checked_by="code" if code else "general")
+        words.append(next(levels))
+        for lu in range(total + 1):
+            for wu in words[lu]:
+                for wv in words[total - lu]:
+                    u = Word(language.alphabet, wu)
+                    v = Word(language.alphabet, wv)
+                    if where is not None and not where(u, v):
+                        continue
+                    if checker(u, v):
+                        return SyncPair(u=u, v=v, checked_by="code" if code else "general")
     return None
 
 

@@ -166,3 +166,115 @@ def binary_image_profile(rng: random.Random, n_words: int, max_depth: int = 4) -
             leaves.extend((k + 1, k + 1))
         if len(leaves) == n_words:
             return tuple(sorted(leaves))
+
+
+def canonical_under_permutation(words: tuple[tuple[int, ...], ...], d: int) -> bool:
+    """Reference orbit filter: keep a word set only when no letter permutation
+    maps it to a lexicographically smaller sorted tuple."""
+    me = tuple(sorted(words))
+    for perm in itertools.permutations(range(d)):
+        if perm == tuple(range(d)):
+            continue
+        image = tuple(sorted(tuple(perm[i] for i in w) for w in words))
+        if image < me:
+            return False
+    return True
+
+
+def enumerate_class_languages_reference(class_tag: str, n: int, d: int, canonicalize: bool = True):
+    """Reference enumeration: builds every candidate subset of the word pool
+    as words, then filters with :func:`canonical_under_permutation` and the
+    language-level class test, in ascending pool-mask order."""
+    from codesync.experiments import _in_class, _word_pool
+
+    alphabet = Alphabet.lowercase(d)
+    pool = _word_pool(alphabet, n)
+    for bits in range(1, 2 ** len(pool)):
+        chosen = tuple(pool[i] for i in range(len(pool)) if (bits >> i) & 1)
+        if canonicalize and not canonical_under_permutation(tuple(u.indices for u in chosen), d):
+            continue
+        language = FiniteLanguage(alphabet, chosen)
+        if _in_class(language, class_tag, 2 ** 20):
+            yield language
+
+
+def star_words_eager(language: FiniteLanguage, budget: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Reference: every distinct word of X* up to the budget, sorted (length, lex)."""
+    seen: set[tuple[int, ...]] = {()}
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for x in language.words:
+                c = u + x.indices
+                if len(c) <= budget and c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted((len(u), u) for u in seen)
+
+
+def shortest_sync_pair_eager(language: FiniteLanguage, budget: int, where=None):
+    """Reference pair search: enumerates X* up to the budget first, then tests
+    pairs in (total, |u|, lex u, lex v) order with the checker the library
+    picks (code path for codes, general path otherwise)."""
+    from codesync import flower_automaton, is_code
+    from codesync.synchrony import _code_pair_check, _context_families, _general_pair_check
+
+    code = is_code(language)
+    if code:
+        automaton = flower_automaton(language)
+
+        def checker(u, v):
+            return _code_pair_check(automaton, u, v)
+    else:
+        families = _context_families(language, 2 ** 20)
+
+        def checker(u, v):
+            return _general_pair_check(*families, u, v)
+
+    words = star_words_eager(language, budget)
+    by_len: dict[int, list[tuple[int, ...]]] = {}
+    for lv, wv in words:
+        by_len.setdefault(lv, []).append(wv)
+    for total in range(budget + 1):
+        for lu, wu in words:
+            if lu > total:
+                break
+            for wv in by_len.get(total - lu, ()):
+                u, v = Word(language.alphabet, wu), Word(language.alphabet, wv)
+                if (where is None or where(u, v)) and checker(u, v):
+                    return u, v, "code" if code else "general"
+    return None
+
+
+def flower_reference(language: FiniteLanguage):
+    """Reference flower automaton as plain data: (table, labels, letter rows,
+    reverse letter rows), states ordered 1 then proper prefixes by (length, lex)."""
+    d = len(language.alphabet)
+    prefixes = sorted(
+        {u.indices[:k] for u in language.words for k in range(1, len(u))},
+        key=lambda p: (len(p), p),
+    )
+    states = [()] + prefixes
+    words = {u.indices for u in language.words}
+    table = []
+    for p in states:
+        row = []
+        for a in range(d):
+            m = 0
+            for q, r in enumerate(states):
+                if (q > 0 and r == p + (a,)) or (q == 0 and p + (a,) in words):
+                    m |= 1 << q
+            row.append(m)
+        table.append(tuple(row))
+    labels = tuple(Word(language.alphabet, p).text if p else "1" for p in states)
+    letter_rows = tuple(tuple(table[q][a] for q in range(len(states))) for a in range(d))
+    rev_rows = tuple(
+        tuple(
+            sum(1 << q for q in range(len(states)) if table[q][a] >> t & 1)
+            for t in range(len(states))
+        )
+        for a in range(d)
+    )
+    return tuple(table), labels, letter_rows, rev_rows

@@ -41,7 +41,7 @@ from codesync.completeness import brute_force_incompletable
 from codesync.encoding import Encoding, apply_encoding
 from codesync.errors import SubsetCapExceeded
 from codesync.experiments import estimate_R, random_complete_sync_codes
-from codesync.synchrony import _code_pair_check, _context_families, _general_pair_check, _star_words
+from codesync.synchrony import _code_pair_check, _context_families, _general_pair_check
 
 from helpers import (
     BINARY,
@@ -55,6 +55,7 @@ from helpers import (
     random_complete_code,
     random_language_sample,
     shortest_ambiguous_word,
+    star_words_eager,
     w,
 )
 
@@ -192,7 +193,7 @@ def test_criterion_4_oracle_equivalence():
     codes += [x for x in random_codes_sample if is_code(x)]
     for x in codes:
         automaton, fwd, bwd = _context_families(x, 2 ** 20)
-        star = _star_words(x, 6)
+        star = star_words_eager(x, 6)
         for (lu, wu), (lv, wv) in itertools.product(star, star):
             if lu + lv > 6:
                 continue

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from codesync import (
+    Automaton,
     AutomatonContractError,
     EpsilonNotAllowed,
     FiniteLanguage,
@@ -36,6 +37,7 @@ from helpers import (
     EXAMPLE_PREFIX,
     EXAMPLE_SET,
     exhaustive_corpus,
+    flower_reference,
     lang,
     random_language_sample,
     w,
@@ -91,6 +93,30 @@ def test_flower_rejects_epsilon_and_empty():
         flower_automaton(FiniteLanguage(BINARY, (Word.epsilon(BINARY),)))
     with pytest.raises(Exception):
         flower_automaton(FiniteLanguage(BINARY, ()))
+
+
+def test_flower_matches_reference_construction():
+    from codesync import parse_language
+
+    cases = [
+        parse_language("alphabet: a a' bb\na\na'bb\nbb a a'\na'a'\nbbbb"),
+        parse_language("alphabet: a a' bb\na'\nbb\na a'a\nbb a' a'"),
+        parse_language("alphabet: e p s\neps\nse\npp"),
+    ]
+    cases += random_language_sample(2024, 50, 3, d=3)
+    for x in cases:
+        a = flower_automaton(x)
+        got = (a.table, a.labels, a._letter_rows, a._rev_rows)
+        assert got == flower_reference(x), x.word_strings()
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [(((1, -1),), "negative mask"), (((1, 2),), "target out of range"), (((1,),), "wrong arity")],
+)
+def test_automaton_contract_rejects_bad_rows(table, reason):
+    with pytest.raises(AutomatonContractError):
+        Automaton(n_states=1, alphabet=BINARY, table=table)
 
 
 def test_step_forward_examples():

@@ -17,13 +17,14 @@ from codesync import (
     verify_main_bound,
 )
 from codesync.experiments import (
+    CLASS_TAGS,
     CSV_HEADER,
     enumerate_class_languages,
     random_language,
     sample_class_languages,
 )
 
-from helpers import has_completion_brute, lang
+from helpers import enumerate_class_languages_reference, has_completion_brute, lang
 
 
 def test_estimate_R_single_letter():
@@ -119,6 +120,47 @@ def test_enumeration_canonicalization_halves_orbit():
     full = list(enumerate_class_languages("all", 2, 2, canonicalize=False))
     assert len(full) == 2 ** 6 - 1
     assert len(canon) < len(full)
+
+
+@pytest.mark.parametrize("canonicalize", [True, False])
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (3, 2)])
+def test_enumeration_matches_reference(n, d, canonicalize):
+    # the bitmask filters must yield exactly the languages, in exactly the
+    # order, of building every candidate and testing it word by word
+    tags = ("prefix", "complete-prefix") if n == 3 else CLASS_TAGS
+    for tag in tags:
+        got = [x.word_strings() for x in enumerate_class_languages(tag, n, d, canonicalize)]
+        want = [
+            x.word_strings()
+            for x in enumerate_class_languages_reference(tag, n, d, canonicalize)
+        ]
+        assert got == want, (tag, n, d, canonicalize)
+
+
+def test_enumeration_keeps_the_argument_names_the_benchmark_binds():
+    # the benchmark tracer binds n and d by name to count the candidates of
+    # each enumeration; renaming them would silently zero that counter
+    import inspect
+
+    params = inspect.signature(enumerate_class_languages).parameters
+    assert list(params)[:3] == ["class_tag", "n", "d"]
+
+
+SWEEP_REPORTS = {
+    ("R", "prefix"): (11, ["aaa", "aab", "aba", "abb", "baa", "bab", "bbb"], ["bbaabbaabba"], 335, 0),
+    ("R", "all"): (13, ["ba", "aaa", "aab", "aba", "abb", "bab", "bbb"], ["baaaabaaaabba"], 3339, 0),
+    ("C", "complete-prefix"): (7, ["aa", "aba", "abb", "baa", "bab", "bba", "bbb"], ["aababaa", "ε"], 13, 0),
+    ("C", "codes"): (9, ["aaa", "aba", "abb", "baa", "bab", "bbb"], ["ε", "aaaabbaaa"], 527, 0),
+}
+
+
+@pytest.mark.parametrize("kind,tag", list(SWEEP_REPORTS))
+def test_exhaustive_sweeps_at_three_are_pinned(kind, tag):
+    # value, witness language, witness and counts of the four n = 3 binary
+    # sweeps; the witnesses depend on the enumeration order
+    report = (estimate_R if kind == "R" else estimate_C)(tag, 3, 2).to_dict()
+    got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
+    assert got == SWEEP_REPORTS[kind, tag]
 
 
 def test_random_language_distribution_shape():

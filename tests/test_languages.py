@@ -78,6 +78,16 @@ def test_epsilon_representable():
     assert x.size == 1
 
 
+def test_contains_epsilon_matches_a_scan_of_the_words():
+    eps = Word.epsilon(BINARY)
+    cases = [FiniteLanguage(BINARY, ()), FiniteLanguage(BINARY, (eps,))]
+    for x in exhaustive_corpus()[::7]:
+        cases += [x, FiniteLanguage(BINARY, x.words + (eps,))]
+    for x in cases:
+        assert x.contains_epsilon == any(len(u) == 0 for u in x.words), x.word_strings()
+    assert sum(x.contains_epsilon for x in cases) == len(cases) // 2
+
+
 def test_canonical_order_and_dedup():
     x = lang(["bbb", "ab", "aa", "ab", "ba", "baa"], BINARY)
     assert x.word_strings() == ["aa", "ab", "ba", "baa", "bbb"]

@@ -22,7 +22,16 @@ from codesync import (
 )
 from codesync.automata import Automaton
 
-from helpers import BINARY, EXAMPLE_PREFIX, EXAMPLE_SET, exhaustive_corpus, lang, swap_letters, w
+from helpers import (
+    BINARY,
+    EXAMPLE_PREFIX,
+    EXAMPLE_SET,
+    exhaustive_corpus,
+    lang,
+    shortest_sync_pair_eager,
+    swap_letters,
+    w,
+)
 
 
 def test_known_pairs_certify():
@@ -227,6 +236,34 @@ def test_compressed_and_plain_searches_agree_on_codes():
             count += 1
             nonempty_v += budget == 10 and len(fast.v) > 0
     assert count > 5 and nonempty_v >= 20
+
+
+def test_plain_pair_search_matches_eager_reference():
+    # the plain search (a filter, or a non-code) builds X* one length at a
+    # time and stops at its answer; the reference enumerates X* up to the
+    # budget first.  Both test totals in increasing order, so a pair the
+    # reference finds at budget 12 is also the answer at budget 14.
+    from codesync.experiments import enumerate_class_languages, random_complete_sync_codes
+
+    def anything(u, v):
+        return True
+
+    codes = random_complete_sync_codes(30, seed=11, max_size=5)
+    for x in codes + [swap_letters(x) for x in codes]:
+        want = shortest_sync_pair_eager(x, 12, where=anything)
+        assert want is not None, x.word_strings()
+        for budget in (12, 14):
+            pair = shortest_sync_pair(x, budget=budget, where=anything)
+            assert (pair.u, pair.v, pair.checked_by) == want, (x.word_strings(), budget)
+    non_codes = [x for x in enumerate_class_languages("all", 2, 2) if not is_code(x)]
+    assert len(non_codes) > 10
+    found = 0
+    for x in non_codes:
+        pair = shortest_sync_pair(x, budget=8)
+        got = None if pair is None else (pair.u, pair.v, pair.checked_by)
+        assert got == shortest_sync_pair_eager(x, 8), x.word_strings()
+        found += pair is not None
+    assert found > 0
 
 
 @pytest.mark.parametrize("n", [7, 8])
