@@ -64,9 +64,13 @@ class Automaton:
             object.__setattr__(self, "accepting", frozenset({self.initial}))
         if not 0 <= self.initial < self.n_states:
             raise AutomatonContractError("initial state out of range")
-        if len(self.table) != self.n_states:
-            raise AutomatonContractError("transition table has wrong number of rows")
         n = self.n_states
+        if any(not 0 <= q < n for q in self.accepting):
+            raise AutomatonContractError("accepting state out of range")
+        if self.labels is not None and len(self.labels) != n:
+            raise AutomatonContractError("labels do not match the number of states")
+        if len(self.table) != n:
+            raise AutomatonContractError("transition table has wrong number of rows")
         for row in self.table:
             if len(row) != len(self.alphabet):
                 raise AutomatonContractError("transition row has wrong arity")
@@ -144,14 +148,10 @@ def step_backward(automaton: Automaton, mask: int, w: Word) -> int:
 
 def reverse(automaton: Automaton) -> Automaton:
     """Edge-reversed automaton; accepts the mirror language."""
-    n, d = automaton.n_states, len(automaton.alphabet)
-    table = [[0] * d for _ in range(n)]
-    for q, a, t in automaton.edges():
-        table[t][a] |= 1 << q
     return Automaton(
-        n_states=n,
+        n_states=automaton.n_states,
         alphabet=automaton.alphabet,
-        table=tuple(tuple(row) for row in table),
+        table=tuple(zip(*automaton._rev_rows)),
         initial=automaton.initial,
         accepting=automaton.accepting,
         labels=automaton.labels,

@@ -187,7 +187,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    lengths = tuple(int(k) for k in args.lengths.split(","))
+    try:
+        lengths = tuple(int(k) for k in args.lengths.split(","))
+    except ValueError:
+        raise ParseError(
+            f"--lengths takes comma-separated integers, not {args.lengths!r}"
+        ) from None
     profile = LengthProfile(args.d, lengths)
     if args.sync:
         y = road_colored_sync_code(profile, seed=args.seed)

@@ -10,8 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Automaton, flower_automaton, states_from_mask, step_forward, subset_bfs
-from .errors import InternalInvariantError, SubsetCapExceeded, DEFAULT_SUBSET_CAP
+from .automata import (
+    Automaton,
+    flower_automaton,
+    layered_search,
+    states_from_mask,
+    step_forward,
+    subset_bfs,
+)
+from .errors import InternalInvariantError, DEFAULT_SUBSET_CAP
 from .languages import FiniteLanguage, Word, kleene_membership
 
 
@@ -45,47 +52,24 @@ def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
     return shortest_incompletable(language, cap) is None
 
 
-def _access_words(automaton: Automaton) -> list[Optional[Word]]:
-    """Shortest (then lex-least) label of a path from state 1 to each state."""
-    d = len(automaton.alphabet)
-    out: list[Optional[Word]] = [None] * automaton.n_states
-    out[automaton.initial] = Word.epsilon(automaton.alphabet)
-    frontier = [automaton.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for a in range(d):
-                for t in states_from_mask(automaton.table[q][a]):
-                    if out[t] is None:
-                        out[t] = Word(automaton.alphabet, out[q].indices + (a,))
-                        nxt.append(t)
-        frontier = nxt
-    return out
+def _state_words(automaton: Automaton, back: bool) -> list[Optional[Word]]:
+    """Shortest, then lex-least, label of a path from state 1 to each state, or
+    from each state to state 1 when ``back`` (grown by prepending letters)."""
+    rows = automaton._rev_rows if back else automaton._letter_rows
+    letters = range(len(automaton.alphabet))
 
+    def expand(q, word):
+        for a in letters:
+            for t in states_from_mask(rows[a][q]):
+                yield t, ((a,) + word if back else word + (a,))
 
-def _coaccess_words(automaton: Automaton) -> list[Optional[Word]]:
-    """Shortest (then lex-least) label of a path from each state to state 1."""
-    d = len(automaton.alphabet)
     out: list[Optional[Word]] = [None] * automaton.n_states
-    out[automaton.initial] = Word.epsilon(automaton.alphabet)
-    # Dijkstra-flavoured relaxation on (length, word); the graph is tiny and
-    # rescanning until fixpoint keeps the tie-break exact.
-    changed = True
-    while changed:
-        changed = False
-        for q in range(automaton.n_states):
-            best = out[q]
-            for a in range(d):
-                for t in states_from_mask(automaton.table[q][a]):
-                    if out[t] is None:
-                        continue
-                    cand = (a,) + out[t].indices
-                    if best is None or (len(cand), cand) < (len(best), best.indices):
-                        best = Word(automaton.alphabet, cand)
-            if best is not None and (out[q] is None or best.indices != out[q].indices):
-                if q != automaton.initial:
-                    out[q] = best
-                    changed = True
+    levels = layered_search(
+        automaton.initial, (), expand, cap=automaton.n_states, what="state-word search"
+    )
+    for level in levels:
+        for q, word in level.items():
+            out[q] = Word(automaton.alphabet, word)
     return out
 
 
@@ -100,20 +84,14 @@ def find_completion(
     set.  When w ∈ X* the trivial witness (ε, ε) is returned.
     """
     automaton = flower_automaton(language)
-    access = _access_words(automaton)
-    coaccess = _coaccess_words(automaton)
-    candidates = sorted(
-        range(automaton.n_states), key=lambda q: (len(access[q]), access[q].indices)
-    )
-    for p in candidates:
+    access = _state_words(automaton, back=False)
+    coaccess = _state_words(automaton, back=True)
+    for p in sorted(range(automaton.n_states), key=lambda q: access[q].sort_key()):
         image = step_forward(automaton, 1 << p, w)
         if not image:
             continue
-        q = min(
-            states_from_mask(image),
-            key=lambda t: (len(coaccess[t]), coaccess[t].indices),
-        )
-        r, s = access[p], coaccess[q]
+        r = access[p]
+        s = min((coaccess[q] for q in states_from_mask(image)), key=Word.sort_key)
         details = {"r": r.text, "w": w.text, "s": s.text}
         if not kleene_membership(language, r + w + s):
             raise InternalInvariantError("completion r·w·s is not in X*", details)
@@ -130,58 +108,37 @@ def left_star_completion(
 ) -> Optional[CompletionWitness]:
     """A completion (y, s) of w with the left context y ∈ X*.
 
-    Searches breadth-first over the subsets δ(1, y) where y ranges over
-    codeword concatenations; succeeds as soon as δ(S, w) ≠ ∅ and closes with
-    the shortest suffix to state 1.  For complete X this always succeeds; a
-    None result signals that no left-star completion exists (in particular
-    that X is incomplete).
+    Searches the subsets δ(1, y) level by level, y ranging over codeword
+    concatenations keyed by their codeword-index sequence; the hit is the least
+    key in the first level with δ(S, w) ≠ ∅, closed with the shortest suffix
+    back to state 1.  For complete X this always succeeds; a None result
+    signals that no left-star completion exists (in particular that X is
+    incomplete).  The cap on distinct subsets is checked once per level.
     """
     automaton = flower_automaton(language)
-    coaccess = _coaccess_words(automaton)
-    codewords = list(language.words)
+    coaccess = _state_words(automaton, back=True)
+    codewords = language.words
 
-    def apply_word(mask: int, x: Word) -> int:
-        for a in x.indices:
-            mask = automaton.step_letter(mask, a)
-        return mask
+    def expand(mask, key):
+        for idx, x in enumerate(codewords):
+            t = step_forward(automaton, mask, x)
+            if t:
+                yield t, key + (idx,)
 
-    start = 1 << automaton.initial
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        s_mask = queue[head]
-        head += 1
-        image = step_forward(automaton, s_mask, w)
-        if image:
-            q = min(
-                states_from_mask(image),
-                key=lambda t: (len(coaccess[t]), coaccess[t].indices),
-            )
-            pieces = []
-            cur = s_mask
-            while cur != start:
-                prev, idx = parent[cur]
-                pieces.append(codewords[idx])
-                cur = prev
-            pieces.reverse()
-            y = Word.epsilon(language.alphabet)
-            for piece in pieces:
-                y = y + piece
-            s = coaccess[q]
+    levels = layered_search(
+        1 << automaton.initial, (), expand, cap=cap, what="left-star completion search"
+    )
+    for level in levels:
+        for mask, key in sorted(level.items(), key=lambda item: item[1]):
+            image = step_forward(automaton, mask, w)
+            if not image:
+                continue
+            y = Word(language.alphabet, tuple(a for i in key for a in codewords[i].indices))
+            s = min((coaccess[q] for q in states_from_mask(image)), key=Word.sort_key)
             if not (kleene_membership(language, y) and kleene_membership(language, y + w + s)):
                 details = {"y": y.text, "w": w.text, "s": s.text}
                 raise InternalInvariantError("left-star completion y·w·s is not in X*", details)
             return CompletionWitness(r=y, s=s, word=w, left_in_star=True)
-        for idx, x in enumerate(codewords):
-            t = apply_word(s_mask, x)
-            if t and t not in seen:
-                seen.add(t)
-                if len(seen) > cap:
-                    raise SubsetCapExceeded(cap, "left-star completion search")
-                parent[t] = (s_mask, idx)
-                queue.append(t)
     return None
 
 

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .automata import (
     Automaton,
@@ -159,6 +159,19 @@ def _colored_automaton(base: Automaton, assignment: list[tuple[int, ...]]) -> Au
     )
 
 
+def _random_colorings(base: Automaton, rng: random.Random) -> Iterator[Automaton]:
+    """Endless seeded recolorings of ``base``: each draw shuffles every state's
+    out-multiset in state order, one ``rng.shuffle`` per state."""
+    multisets = _out_multisets(base)
+    while True:
+        assignment = []
+        for ms in multisets:
+            perm = list(ms)
+            rng.shuffle(perm)
+            assignment.append(tuple(perm))
+        yield _colored_automaton(base, assignment)
+
+
 def road_colored_sync_code(
     profile: LengthProfile,
     seed: int = DEFAULT_COLORING_SEED,
@@ -207,14 +220,8 @@ def road_colored_sync_code(
         raise NotSynchronizing(
             "no synchronizing coloring exists; the AGW precondition must have failed"
         )
-    rng = random.Random(seed)
-    for _ in range(max_restarts):
-        assignment = []
-        for ms in multisets:
-            perm = list(ms)
-            rng.shuffle(perm)
-            assignment.append(tuple(perm))
-        y = finish(_colored_automaton(base, assignment))
+    for colored in itertools.islice(_random_colorings(base, random.Random(seed)), max_restarts):
+        y = finish(colored)
         if y is not None:
             return y
     raise SearchBudgetExceeded(

@@ -414,9 +414,8 @@ def random_complete_sync_codes(
     is not purely prefix.  Every instance is re-verified (code, complete,
     synchronizing) before being returned.
     """
-    from .encoding import kraft_canonical, LengthProfile
     from .automata import flower_automaton, first_return_language
-    from .encoding import _colored_automaton, _out_multisets
+    from .encoding import LengthProfile, _random_colorings, kraft_canonical
     from .synchrony import is_synchronizing_dfa
 
     rng = random.Random(seed)
@@ -424,20 +423,11 @@ def random_complete_sync_codes(
     while len(out) < count:
         profile = LengthProfile(2, random_tree_profile(rng, max_size))
         base = flower_automaton(kraft_canonical(profile))
-        multisets = _out_multisets(base)
-        language = None
-        for _ in range(64):
-            assignment = []
-            for ms in multisets:
-                perm = list(ms)
-                rng.shuffle(perm)
-                assignment.append(tuple(perm))
-            colored = _colored_automaton(base, assignment)
-            if is_synchronizing_dfa(colored):
-                language = first_return_language(colored)
-                break
-        if language is None:
+        colorings = itertools.islice(_random_colorings(base, rng), 64)
+        colored = next((c for c in colorings if is_synchronizing_dfa(c)), None)
+        if colored is None:
             continue
+        language = first_return_language(colored)
         if reverse_half and len(out) % 2 == 1:
             language = FiniteLanguage(
                 language.alphabet, tuple(w.reversed() for w in language.words)

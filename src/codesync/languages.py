@@ -328,31 +328,30 @@ def is_prefix(language: FiniteLanguage) -> bool:
 
 
 def is_code(language: FiniteLanguage) -> bool:
-    """Unique-factorization test via the Sardinas-Patterson residual iteration.
+    """Unique-factorization test: the Sardinas–Patterson closure over single
+    dangling suffixes.
 
+    It starts from u⁻¹v for u a proper prefix of v, both in X, and steps a
+    suffix s to x⁻¹s and s⁻¹x for x ∈ X; X is a code iff ε is never reached.
     Raises :class:`EpsilonNotAllowed` when ε ∈ X: the empty word makes every
     factorization ambiguous, so it is rejected as an invalid code candidate
     rather than reported as merely "not a code".
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("ε ∈ X is not a valid code candidate")
-    base = frozenset(w.indices for w in language.words)
-    if not base:
-        return True
-
-    def residual(left: frozenset, right: frozenset) -> frozenset:
-        out = set()
-        for u in left:
-            for v in right:
-                if len(u) <= len(v) and v[: len(u)] == u:
-                    out.add(v[len(u):])
-        return frozenset(out)
-
-    current = residual(base, base) - {()}
-    seen = set()
-    while current and current not in seen:
-        if () in current:
-            return False
-        seen.add(current)
-        current = residual(base, current) | residual(current, base)
-    return () not in current
+    words = [x.indices for x in language.words]
+    todo = [v[len(u):] for u in words for v in words if len(u) < len(v) and v[: len(u)] == u]
+    seen = set(todo)
+    while todo:
+        s = todo.pop()
+        for x in words:
+            short, long = (x, s) if len(x) <= len(s) else (s, x)
+            if long[: len(short)] != short:
+                continue
+            t = long[len(short):]  # x⁻¹s or s⁻¹x
+            if not t:
+                return False
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return True

@@ -278,3 +278,100 @@ def flower_reference(language: FiniteLanguage):
         for a in range(d)
     )
     return tuple(table), labels, letter_rows, rev_rows
+
+
+def access_words_reference(automaton):
+    """Reference: shortest (then lex-least) label of a path from state 1 to
+    each state, by a first-in-first-out search over single states."""
+    from codesync import states_from_mask
+
+    d = len(automaton.alphabet)
+    out = [None] * automaton.n_states
+    out[automaton.initial] = Word.epsilon(automaton.alphabet)
+    frontier = [automaton.initial]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for a in range(d):
+                for t in states_from_mask(automaton.table[q][a]):
+                    if out[t] is None:
+                        out[t] = Word(automaton.alphabet, out[q].indices + (a,))
+                        nxt.append(t)
+        frontier = nxt
+    return out
+
+
+def coaccess_words_reference(automaton):
+    """Reference: shortest (then lex-least) label of a path from each state to
+    state 1, by relaxing on (length, word) until nothing changes."""
+    from codesync import states_from_mask
+
+    d = len(automaton.alphabet)
+    out = [None] * automaton.n_states
+    out[automaton.initial] = Word.epsilon(automaton.alphabet)
+    changed = True
+    while changed:
+        changed = False
+        for q in range(automaton.n_states):
+            best = out[q]
+            for a in range(d):
+                for t in states_from_mask(automaton.table[q][a]):
+                    if out[t] is None:
+                        continue
+                    cand = (a,) + out[t].indices
+                    if best is None or (len(cand), cand) < (len(best), best.indices):
+                        best = Word(automaton.alphabet, cand)
+            if best is not None and (out[q] is None or best.indices != out[q].indices):
+                if q != automaton.initial:
+                    out[q] = best
+                    changed = True
+    return out
+
+
+def left_star_completion_reference(language: FiniteLanguage, word: Word):
+    """Reference left-star completion: a first-in-first-out search over the
+    subsets δ(1, y), y a codeword concatenation, with parent pointers; the
+    first dequeued subset S with δ(S, w) ≠ ∅ is closed with the least
+    co-access word of its image."""
+    from codesync import CompletionWitness, flower_automaton, states_from_mask, step_forward
+
+    automaton = flower_automaton(language)
+    coaccess = coaccess_words_reference(automaton)
+    codewords = list(language.words)
+
+    def apply_word(mask, x):
+        for a in x.indices:
+            mask = automaton.step_letter(mask, a)
+        return mask
+
+    start = 1 << automaton.initial
+    parent = {}
+    seen = {start}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        s_mask = queue[head]
+        head += 1
+        image = step_forward(automaton, s_mask, word)
+        if image:
+            q = min(
+                states_from_mask(image),
+                key=lambda t: (len(coaccess[t]), coaccess[t].indices),
+            )
+            pieces = []
+            cur = s_mask
+            while cur != start:
+                prev, idx = parent[cur]
+                pieces.append(codewords[idx])
+                cur = prev
+            y = Word.epsilon(language.alphabet)
+            for piece in reversed(pieces):
+                y = y + piece
+            return CompletionWitness(r=y, s=coaccess[q], word=word, left_in_star=True)
+        for idx, x in enumerate(codewords):
+            t = apply_word(s_mask, x)
+            if t and t not in seen:
+                seen.add(t)
+                parent[t] = (s_mask, idx)
+                queue.append(t)
+    return None

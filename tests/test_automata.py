@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -117,6 +118,29 @@ def test_flower_matches_reference_construction():
 def test_automaton_contract_rejects_bad_rows(table, reason):
     with pytest.raises(AutomatonContractError):
         Automaton(n_states=1, alphabet=BINARY, table=table)
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"accepting": frozenset({5})}, "accepting state past the last state"),
+        ({"accepting": frozenset({-1})}, "negative accepting state"),
+        ({"labels": ("1",)}, "fewer labels than states"),
+        ({"labels": ("1", "a", "b")}, "more labels than states"),
+    ],
+)
+def test_automaton_contract_rejects_bad_accepting_and_labels(fields, reason):
+    with pytest.raises(AutomatonContractError):
+        Automaton(n_states=2, alphabet=BINARY, table=((2, 1), (1, 1)), **fields)
+
+
+def test_automaton_from_json_rejects_bad_accepting_and_labels():
+    edges = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0]]
+    base = {"states": 2, "alphabet": ["a", "b"], "edges": edges}
+    assert accepts(automaton_from_json(json.dumps(base)), Word.parse("ab", BINARY))
+    for extra in ({"accepting": [5]}, {"accepting": [-1]}, {"labels": ["1"]}):
+        with pytest.raises(AutomatonContractError):
+            automaton_from_json(json.dumps({**base, **extra}))
 
 
 def test_step_forward_examples():

@@ -99,6 +99,14 @@ def test_construct_gcd_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lengths", ["1,x,3", ""])
+def test_construct_rejects_non_integer_lengths(capsys, lengths):
+    code = main(["construct", "--lengths", lengths])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --lengths") and err.count("\n") == 1
+
+
 def test_encode_general_incomplete(capsys, tmp_path):
     p = tmp_path / "tern.lang"
     p.write_text("alphabet: a b c\naa\n")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 from codesync import (
+    Alphabet,
     Word,
     brute_force_incompletable,
     find_completion,
@@ -13,14 +14,18 @@ from codesync import (
     shortest_incompletable,
     step_forward,
 )
+from codesync.completeness import _state_words
 
 from helpers import (
     BINARY,
     EXAMPLE_PREFIX,
     EXAMPLE_SET,
+    access_words_reference,
+    coaccess_words_reference,
     exhaustive_corpus,
     has_completion_brute,
     lang,
+    left_star_completion_reference,
     random_language_sample,
     w,
 )
@@ -112,6 +117,42 @@ def test_left_star_completion_succeeds_on_complete_corpus():
                 assert witness is not None, (x.word_strings(), word.text)
                 assert kleene_membership(x, witness.r)
                 assert kleene_membership(x, witness.r + word + witness.s)
+
+
+def test_state_words_and_witnesses_match_the_references():
+    """Access/co-access words, completion and left-star witnesses against the
+    first-in-first-out and relaxation searches they replaced, on every word of
+    length ≤ 4 of the exhaustive corpus and of two languages over a a' bb."""
+    tokens = Alphabet(("a", "a'", "bb"))
+    corpus = list(exhaustive_corpus()) + [
+        lang(["a", "a'bb", "bb a", "bb bb"], tokens),
+        lang(["a a'", "a' a", "bb", "a bb a"], tokens),
+    ]
+    found = nonempty_left = 0
+    for x in corpus:
+        a = flower_automaton(x)
+        access, coaccess = access_words_reference(a), coaccess_words_reference(a)
+        assert _state_words(a, back=False) == access, x.word_strings()
+        assert _state_words(a, back=True) == coaccess, x.word_strings()
+        by_access = sorted(range(a.n_states), key=lambda q: access[q].sort_key())
+        for k in range(5):
+            for tup in itertools.product(range(len(x.alphabet)), repeat=k):
+                word = Word(x.alphabet, tup)
+                expected = None
+                for p in by_access:
+                    image = step_forward(a, 1 << p, word)
+                    if image:
+                        s = min((coaccess[q] for q in range(a.n_states) if image >> q & 1),
+                                key=Word.sort_key)
+                        expected = (access[p], s)
+                        break
+                witness = find_completion(x, word, trim=False)
+                assert (witness and (witness.r, witness.s)) == expected, (x, word)
+                left = left_star_completion(x, word)
+                assert left == left_star_completion_reference(x, word), (x, word)
+                found += witness is not None
+                nonempty_left += left is not None and len(left.r) > 0
+    assert found > 10000 and nonempty_left > 1000
 
 
 def test_oracle_equivalence_exhaustive():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -204,6 +205,15 @@ def test_random_complete_sync_codes_properties():
     for x in codes:
         assert is_code(x)
         assert is_complete_language(x)
+
+
+def test_random_complete_sync_codes_are_pinned():
+    """The seeded coloring draws fix the benchmark's ledger code set; the
+    digest of its word lists was taken before the draws were shared with
+    ``road_colored_sync_code``."""
+    codes = random_complete_sync_codes(150, seed=0, max_size=6)
+    digest = hashlib.sha256(json.dumps([x.word_strings() for x in codes]).encode()).hexdigest()
+    assert digest == "23df4ec9ef03ef2bbe2257df4e9ac597064ccca2d62df873549e9c97b0add2f7"
 
 
 def test_sync_complete_codes_have_kraft_one_and_coprime_lengths():

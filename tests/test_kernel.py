@@ -19,6 +19,7 @@ from codesync import (
     is_complete_automaton,
     is_sync_pair,
     is_synchronizing_code,
+    left_star_completion,
     reverse,
     shortest_incompletable,
     shortest_incompletable_min_marked,
@@ -83,6 +84,8 @@ def _prefix_aprime():
         # enough to stop the backward side stops the forward side before it
         (lambda: list(_star_reps(flower_automaton(cerny_family(4)), 1, back=True)),
          "sync-pair backward enumeration"),
+        (lambda: left_star_completion(lang(EXAMPLE_SET), w("abbabba"), cap=1),
+         "left-star completion search"),
     ],
 )
 def test_tiny_cap_raises_with_context(call, context):

@@ -168,7 +168,9 @@ def test_is_code_agrees_with_factorization_oracle_exhaustive():
 
 
 def test_is_code_agrees_with_factorization_oracle_random():
-    for x in random_language_sample(20240817, 500, 4):
+    ternary = random_language_sample(20240818, 300, 3, d=3)
+    assert 30 < sum(map(is_code, ternary)) < 270
+    for x in random_language_sample(20240817, 500, 4) + ternary:
         claim = is_code(x)
         witness = shortest_ambiguous_word(x, 12)
         assert claim == (witness is None), x.word_strings()

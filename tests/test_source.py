@@ -17,3 +17,25 @@ def test_no_bare_asserts_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"bare asserts: {found}"
+
+
+def test_only_the_kernels_raise_the_subset_cap():
+    """Searches get their cap from ``subset_bfs`` or ``layered_search``; the
+    memoized families re-check a smaller cap in ``_family``."""
+    raisers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "SubsetCapExceeded":
+                    raisers.add(f"{path.stem}.{func.name}")
+    assert raisers == {
+        "automata.subset_bfs",
+        "automata.layered_search",
+        "synchrony._family",
+    }
