@@ -40,7 +40,12 @@ def shortest_incompletable(
     Ties among shortest witnesses are broken lexicographically in alphabet
     order, so the output is reproducible.
     """
-    automaton = flower_automaton(language)
+    return _incompletable_word(flower_automaton(language), cap)
+
+
+def _incompletable_word(automaton: Automaton, cap: int) -> Optional[Word]:
+    """The least word w with δ(Q, w) = ∅ on any object that steps subsets as an
+    :class:`Automaton` does, such as a view of the flower automaton."""
     _, word = subset_bfs(
         automaton, automaton.full_mask, goal=lambda t: not t, cap=cap,
         what="incompletable-word search",

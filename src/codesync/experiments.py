@@ -16,16 +16,19 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional
 
-from .completeness import is_complete_language, shortest_incompletable
+from .automata import flower_automaton
+from .completeness import _incompletable_word, is_complete_language, shortest_incompletable
 from .errors import (
     CodesyncError,
+    InternalInvariantError,
     SearchBudgetExceeded,
     DEFAULT_INSTANCE_CAP,
     DEFAULT_SUBSET_CAP,
 )
-from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix
+from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import is_synchronizing_code, shortest_sync_pair
 
@@ -97,7 +100,8 @@ def _word_pool(alphabet: Alphabet, n: int) -> list[Word]:
 
 def _or_tables(values: list[int], half: int) -> tuple[list[int], list[int]]:
     """Lookup tables for the OR of ``values[i]`` over the set bits i of a
-    pool mask: the low ``half`` bits index the first, the rest the second."""
+    pool or node mask: the low ``half`` bits index the first, the rest the
+    second."""
 
     def table(vs: list[int]) -> list[int]:
         t = [0]
@@ -106,6 +110,12 @@ def _or_tables(values: list[int], half: int) -> tuple[list[int], list[int]]:
         return t
 
     return table(values[:half]), table(values[half:])
+
+
+def _or_lookup(tables: tuple[list[int], list[int]], mask: int, half: int) -> int:
+    """The OR that a pair of :func:`_or_tables` gives for ``mask``."""
+    low, high = tables
+    return low[mask & ((1 << half) - 1)] | high[mask >> half]
 
 
 def _rank_tables(pool: list[Word], d: int, half: int) -> list[tuple[list[int], list[int]]]:
@@ -148,6 +158,126 @@ def _in_class(language: FiniteLanguage, class_tag: str, cap: int) -> bool:
     raise CodesyncError(f"unknown class tag {class_tag!r}")
 
 
+class _PoolTrie:
+    """The prefix trie of the word pool A^{≤n}, built once per enumeration.
+
+    Its nodes are the words of A^{<n}, the root first, in (length, lex) order;
+    node j > 0 is pool word j − 1.  The flower automaton of a pool subset X is
+    the trie cut down to the root and the proper prefixes of X, with its states
+    in the same order, so every candidate X is stepped by a :class:`_PoolView`
+    on the shared tables below.  Each table is split into a low and a high
+    half, as :func:`_or_tables` does, so it stays small for any pool size.
+    """
+
+    def __init__(self, n: int, d: int, instance_cap: int):
+        self.alphabet = Alphabet.lowercase(d)
+        self.pool = _word_pool(self.alphabet, n)
+        if 2 ** len(self.pool) > instance_cap:
+            raise SearchBudgetExceeded(
+                f"exhaustive enumeration needs 2^{len(self.pool)} candidates; "
+                f"cap is {instance_cap} — use random mode"
+            )
+        words = [w.indices for w in self.pool]
+        nodes = [()] + [u for u in words if len(u) < n]
+        node_bit = {u: 1 << j for j, u in enumerate(nodes)}
+        pool_bit = {u: 1 << i for i, u in enumerate(words)}
+        self.words = words
+        self.n_nodes = len(nodes)
+        self.half = len(words) // 2
+        self.node_half = len(nodes) // 2
+        self.node_low = (1 << self.node_half) - 1
+        letters = range(d)
+        # over pool masks: the root and the proper prefixes of each member
+        # word, and the node a member word leaves on its last letter a
+        self.live = _or_tables([sum(node_bit[u[:k]] for k in range(len(u))) for u in words], self.half)
+        self.root_back = [
+            _or_tables([node_bit[u[:-1]] if u[-1] == a else 0 for u in words], self.half)
+            for a in letters
+        ]
+        # over node masks: p·a as a node (when shorter than n) in the low
+        # n_nodes bits and as a pool word above them; the parent of p = q·a
+        self.forward = [
+            _or_tables(
+                [node_bit.get(p + (a,), 0) | pool_bit[p + (a,)] << len(nodes) for p in nodes],
+                self.node_half,
+            )
+            for a in letters
+        ]
+        self.parent = [
+            _or_tables([node_bit[p[:-1]] if p and p[-1] == a else 0 for p in nodes], self.node_half)
+            for a in letters
+        ]
+
+    def language(self, bits: int) -> FiniteLanguage:
+        return FiniteLanguage(
+            self.alphabet, tuple(w for i, w in enumerate(self.pool) if bits >> i & 1)
+        )
+
+    def masks(self, class_tag: str, canonicalize: bool, cap: int) -> Iterator[int]:
+        """The pool masks of the class members, ascending.
+
+        The prefix and letter-permutation tests run on the mask through OR
+        tables, the code test is the Sardinas–Patterson closure on the member
+        index tuples, and completeness is searched on a :class:`_PoolView`.
+        """
+        if class_tag not in CLASS_TAGS:
+            raise CodesyncError(f"unknown class tag {class_tag!r}")
+        words, half = self.words, self.half
+        ranks = _rank_tables(self.pool, len(self.alphabet), half) if canonicalize else None
+        # for each pool word, the mask of pool words it is a proper prefix of
+        extensions = _or_tables(
+            [sum(1 << j for j, v in enumerate(words) if len(u) < len(v) and v[: len(u)] == u) for u in words],
+            half,
+        ) if class_tag in ("prefix", "complete-prefix") else None
+        code = class_tag in ("codes", "complete-codes")
+        complete = class_tag in ("complete-codes", "complete-prefix")
+        for bits in range(1, 2 ** len(words)):
+            lo, hi = bits & ((1 << half) - 1), bits >> half
+            if extensions is not None and (extensions[0][lo] | extensions[1][hi]) & bits:
+                continue
+            if ranks is not None and not _is_canonical(lo, hi, ranks):
+                continue
+            if code and not _sardinas_patterson([u for i, u in enumerate(words) if bits >> i & 1]):
+                continue
+            if complete and _incompletable_word(_PoolView(self, bits), cap) is not None:
+                continue
+            yield bits
+
+
+class _PoolView:
+    """The flower automaton of the pool subset ``members``, as the search
+    kernels read it, with no :class:`~codesync.automata.Automaton` built.
+
+    Flower state k is the k-th set bit of ``full_mask``, the live trie nodes,
+    and ``step_letter``/``step_letter_back`` are the flower's transitions under
+    that relabelling, so :func:`~codesync.automata.subset_bfs` returns the
+    flower's own (length, lex) words.
+    """
+
+    __slots__ = ("trie", "alphabet", "members", "full_mask", "_word_bits")
+    initial = 0
+
+    def __init__(self, trie: _PoolTrie, members: int):
+        self.trie = trie
+        self.alphabet = trie.alphabet
+        self.members = members
+        self.full_mask = _or_lookup(trie.live, members, trie.half)
+        self._word_bits = members << trie.n_nodes
+
+    def step_letter(self, mask: int, a: int) -> int:
+        trie = self.trie
+        low, high = trie.forward[a]
+        t = low[mask & trie.node_low] | high[mask >> trie.node_half]
+        return (t & self.full_mask) | (1 if t & self._word_bits else 0)
+
+    def step_letter_back(self, mask: int, a: int) -> int:
+        trie = self.trie
+        out = _or_lookup(trie.parent[a], mask, trie.node_half)
+        if mask & 1:
+            out |= _or_lookup(trie.root_back[a], self.members, trie.half)
+        return out
+
+
 def enumerate_class_languages(
     class_tag: str,
     n: int,
@@ -160,34 +290,13 @@ def enumerate_class_languages(
 
     Enumerates subsets of the word pool A^{≤n} (ε excluded) as pool-index
     bitmasks in ascending order; the candidate count 2^|pool| must stay under
-    the instance cap, otherwise random mode is the way out.  The prefix-class
-    and letter-permutation tests run on the masks through tables built once
-    per call, so words and languages are built only for masks that pass.
+    the instance cap, otherwise random mode is the way out.  The class tests
+    run on the masks (:meth:`_PoolTrie.masks`), so a language is built only
+    for each member.
     """
-    alphabet = Alphabet.lowercase(d)
-    pool = _word_pool(alphabet, n)
-    if 2 ** len(pool) > instance_cap:
-        raise SearchBudgetExceeded(
-            f"exhaustive enumeration needs 2^{len(pool)} candidates; "
-            f"cap is {instance_cap} — use random mode"
-        )
-    half = len(pool) // 2
-    ranks = _rank_tables(pool, d, half) if canonicalize else None
-    # for each pool word, the mask of pool words it is a proper prefix of
-    extensions = _or_tables(
-        [sum(1 << j for j, v in enumerate(pool) if len(u) < len(v) and v.startswith(u)) for u in pool],
-        half,
-    ) if class_tag in ("prefix", "complete-prefix") else None
-    for bits in range(1, 2 ** len(pool)):
-        lo, hi = bits & ((1 << half) - 1), bits >> half
-        if extensions is not None and (extensions[0][lo] | extensions[1][hi]) & bits:
-            continue
-        if ranks is not None and not _is_canonical(lo, hi, ranks):
-            continue
-        chosen = tuple(pool[i] for i in range(len(pool)) if (bits >> i) & 1)
-        language = FiniteLanguage(alphabet, chosen)
-        if _in_class(language, class_tag, cap):
-            yield language
+    trie = _PoolTrie(n, d, instance_cap)
+    for bits in trie.masks(class_tag, canonicalize, cap):
+        yield trie.language(bits)
 
 
 def random_language(rng: random.Random, n: int, d: int) -> FiniteLanguage:
@@ -271,6 +380,13 @@ def sample_class_languages(
             )
 
 
+def _check_sizes(n: int, mode: str, samples: int) -> None:
+    if n < 1:
+        raise CodesyncError(f"the word length n must be at least 1, got {n}")
+    if mode == "random" and samples < 1:
+        raise CodesyncError(f"random mode needs at least 1 sample, got {samples}")
+
+
 def estimate_R(
     class_tag: str,
     n: int,
@@ -283,26 +399,44 @@ def estimate_R(
 ) -> ExperimentReport:
     """Max over enumerated incomplete class instances of the minimal
     incompletable-word length; exact in exhaustive mode, a lower bound of the
-    true parameter in random mode."""
+    true parameter in random mode.
+
+    Exhaustive mode searches each candidate on a view of the pool trie and
+    builds a language only when the maximum grows, checking the word again on
+    its flower automaton.
+    """
+    _check_sizes(n, mode, samples)
     start = time.monotonic()
     if mode == "exhaustive":
-        instances = enumerate_class_languages(class_tag, n, d, True, instance_cap, cap)
+        trie = _PoolTrie(n, d, instance_cap)
+        instances = (
+            (_PoolView(trie, bits), partial(trie.language, bits))
+            for bits in trie.masks(class_tag, True, cap)
+        )
     elif mode == "random":
-        instances = sample_class_languages(class_tag, n, d, samples, seed, cap)
+        instances = (
+            (flower_automaton(x), lambda x=x: x)
+            for x in sample_class_languages(class_tag, n, d, samples, seed, cap)
+            if not x.contains_epsilon
+        )
     else:
         raise CodesyncError(f"unknown mode {mode!r}")
     value = None
     witness_language = None
     witness = None
     count = 0
-    for language in instances:
-        if language.contains_epsilon:
-            continue
-        w = shortest_incompletable(language, cap)
+    for automaton, build in instances:
+        w = _incompletable_word(automaton, cap)
         if w is None:
             continue
         count += 1
         if value is None or len(w) > value:
+            language = build()
+            if shortest_incompletable(language, cap) != w:
+                raise InternalInvariantError(
+                    "pool-trie view and flower automaton disagree",
+                    {"language": language.word_strings(), "view_word": w.text},
+                )
             value = len(w)
             witness_language = tuple(language.word_strings())
             witness = (w.text,)
@@ -340,6 +474,9 @@ def estimate_C(
     and never folded into the max; for code classes, provably
     non-synchronizing instances are excluded exactly.
     """
+    _check_sizes(n, mode, samples)
+    if budget < 0:
+        raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
     start = time.monotonic()
     if mode == "exhaustive":
         instances = enumerate_class_languages(class_tag, n, d, True, instance_cap, cap)
@@ -414,7 +551,7 @@ def random_complete_sync_codes(
     is not purely prefix.  Every instance is re-verified (code, complete,
     synchronizing) before being returned.
     """
-    from .automata import flower_automaton, first_return_language
+    from .automata import first_return_language
     from .encoding import LengthProfile, _random_colorings, kraft_canonical
     from .synchrony import is_synchronizing_dfa
 

@@ -163,8 +163,8 @@ class FiniteLanguage:
     """A finite set of words over one alphabet, canonically ordered.
 
     ``size`` is the maximal word length, 0 for the empty language.  Derived
-    structures (the flower automaton, its subset families) are memoized on the
-    instance, so they live exactly as long as the language does.
+    structures (the flower automaton, its subset families, the code test) are
+    memoized on the instance, so they live exactly as long as the language does.
     """
 
     alphabet: Alphabet
@@ -339,7 +339,14 @@ def is_code(language: FiniteLanguage) -> bool:
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("ε ∈ X is not a valid code candidate")
-    words = [x.indices for x in language.words]
+    code = language._memo.get("code")
+    if code is None:
+        code = language._memo["code"] = _sardinas_patterson([x.indices for x in language.words])
+    return code
+
+
+def _sardinas_patterson(words: list[tuple[int, ...]]) -> bool:
+    """The closure of :func:`is_code` on ε-free index tuples."""
     todo = [v[len(u):] for u in words for v in words if len(u) < len(v) and v[: len(u)] == u]
     seen = set(todo)
     while todo:

@@ -198,6 +198,43 @@ def enumerate_class_languages_reference(class_tag: str, n: int, d: int, canonica
             yield language
 
 
+def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tuple[dict, dict]:
+    """Reference exhaustive R and C reports, as ``ExperimentReport.to_dict()``
+    without ``elapsed_seconds``: the language-level searches on every member
+    of :func:`enumerate_class_languages_reference`, in its order."""
+    from codesync import is_synchronizing_code, shortest_incompletable, shortest_sync_pair
+
+    best = {"R": None, "C": None}  # (value, witness language, witness)
+    counts = {"R": 0, "C": 0}
+    inconclusive = 0
+    for x in enumerate_class_languages_reference(class_tag, n, d):
+        found = {}
+        incompletable = shortest_incompletable(x)
+        if incompletable is not None:
+            found["R"] = (len(incompletable), [incompletable.text])
+        if class_tag == "all" or is_synchronizing_code(x):
+            pair = shortest_sync_pair(x, budget)
+            if pair is None:
+                inconclusive += 1
+            else:
+                found["C"] = (pair.total_length, [pair.u.text, pair.v.text])
+        for kind, (value, witness) in found.items():
+            counts[kind] += 1
+            if best[kind] is None or value > best[kind][0]:
+                best[kind] = (value, x.word_strings(), witness)
+
+    def report(kind: str) -> dict:
+        value, words, witness = best[kind] or (None, None, None)
+        return {
+            "kind": kind, "class": class_tag, "n": n, "d": d, "mode": "exhaustive",
+            "value": value, "witness_language": words, "witness": witness,
+            "instances": counts[kind], "inconclusive": inconclusive if kind == "C" else 0,
+            "samples": None, "seed": None,
+        }
+
+    return report("R"), report("C")
+
+
 def star_words_eager(language: FiniteLanguage, budget: int) -> list[tuple[int, tuple[int, ...]]]:
     """Reference: every distinct word of X* up to the budget, sorted (length, lex)."""
     seen: set[tuple[int, ...]] = {()}

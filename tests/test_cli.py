@@ -184,3 +184,17 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     )
     # 2^30 candidates exceed the default instance cap
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "R", "--class", "all", "--n", "-1", "--d", "2"],
+    ["experiment", "R", "--class", "all", "--n", "0", "--d", "2"],
+    ["experiment", "C", "--class", "complete-codes", "--n", "2", "--d", "2", "--budget", "-1"],
+    ["experiment", "R", "--class", "codes", "--n", "2", "--d", "2", "--mode", "random", "--samples", "0"],
+])
+def test_experiment_rejects_meaningless_sizes(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

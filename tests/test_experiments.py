@@ -17,15 +17,24 @@ from codesync import (
     shortest_incompletable,
     verify_main_bound,
 )
+from codesync.automata import flower_automaton, states_from_mask
+from codesync.errors import DEFAULT_INSTANCE_CAP, CodesyncError, InternalInvariantError
 from codesync.experiments import (
     CLASS_TAGS,
     CSV_HEADER,
+    _PoolTrie,
+    _PoolView,
     enumerate_class_languages,
     random_language,
     sample_class_languages,
 )
 
-from helpers import enumerate_class_languages_reference, has_completion_brute, lang
+from helpers import (
+    enumerate_class_languages_reference,
+    estimate_reference,
+    has_completion_brute,
+    lang,
+)
 
 
 def test_estimate_R_single_letter():
@@ -145,6 +154,85 @@ def test_enumeration_keeps_the_argument_names_the_benchmark_binds():
 
     params = inspect.signature(enumerate_class_languages).parameters
     assert list(params)[:3] == ["class_tag", "n", "d"]
+
+
+@pytest.mark.parametrize("n,d,stride", [(2, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 1), (3, 2, 7)])
+def test_pool_view_steps_as_the_flower(n, d, stride):
+    # every mask (every 7th canonical one at (3, 2)): with flower state k
+    # relabelled to the k-th live trie node, the view and the flower agree on
+    # every singleton subset and on the full state set, in both directions
+    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    if stride == 1:
+        masks = range(1, 2 ** len(trie.pool))
+    else:
+        masks = list(trie.masks("all", True, 2 ** 20))[::stride]
+    for bits in masks:
+        view = _PoolView(trie, bits)
+        flower = flower_automaton(trie.language(bits))
+        nodes = states_from_mask(view.full_mask)
+        assert ["1"] + [trie.pool[j - 1].text for j in nodes[1:]] == list(flower.labels)
+
+        def relabel(mask):
+            return sum(1 << j for k, j in enumerate(nodes) if mask >> k & 1)
+
+        for subset in [1 << k for k in range(flower.n_states)] + [flower.full_mask]:
+            for a in range(d):
+                assert view.step_letter(relabel(subset), a) == relabel(flower.step_letter(subset, a))
+                assert view.step_letter_back(relabel(subset), a) == relabel(flower.step_letter_back(subset, a))
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)])
+def test_exhaustive_reports_match_the_reference(n, d):
+    # the view-based sweeps against the language-level searches on every
+    # member of the reference enumeration
+    for tag in CLASS_TAGS:
+        got = []
+        for estimate in (estimate_R, estimate_C):
+            report = estimate(tag, n, d).to_dict()
+            del report["elapsed_seconds"]
+            got.append(report)
+        assert tuple(got) == estimate_reference(tag, n, d), (tag, n, d)
+
+
+def test_R_sweep_builds_no_automaton_per_candidate(monkeypatch):
+    # a machine-independent guard on the sweep's work: a language and its
+    # flower are built only when the running maximum grows, which happens at
+    # most ``value`` times, against 8,255 canonical candidates
+    from codesync.automata import Automaton
+    from codesync.languages import FiniteLanguage
+
+    builds = {Automaton: 0, FiniteLanguage: 0}
+    for cls in builds:
+        def counted(self, _init=cls.__post_init__, _cls=cls):
+            builds[_cls] += 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = estimate_R("all", 3, 2)
+    assert report.value == 13
+    assert 1 <= builds[Automaton] <= report.value + 2
+    assert 1 <= builds[FiniteLanguage] <= report.value + 2
+
+
+def test_R_sweep_rechecks_the_view_on_the_flower(monkeypatch):
+    # a view that finds every candidate incompletable by "a" disagrees with
+    # the flower of {a}, whose least incompletable word is "b"
+    monkeypatch.setattr(_PoolView, "step_letter", lambda self, mask, a: 0)
+    with pytest.raises(InternalInvariantError):
+        estimate_R("all", 2, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_R("all", 0, 2),
+    lambda: estimate_R("all", -1, 2),
+    lambda: estimate_C("codes", 0, 2),
+    lambda: estimate_C("complete-codes", 2, 2, budget=-1),
+    lambda: estimate_R("codes", 2, 2, mode="random", samples=0),
+    lambda: estimate_C("codes", 2, 2, mode="random", samples=-3),
+])
+def test_estimates_reject_meaningless_sizes(call):
+    with pytest.raises(CodesyncError):
+        call()
 
 
 SWEEP_REPORTS = {

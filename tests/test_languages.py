@@ -158,6 +158,23 @@ def test_is_code_rejects_epsilon():
         is_code(x)
 
 
+def test_is_code_is_memoized_on_the_language(monkeypatch):
+    from codesync import languages
+
+    calls = []
+    closure = languages._sardinas_patterson
+    monkeypatch.setattr(languages, "_sardinas_patterson", lambda words: calls.append(words) or closure(words))
+    x = lang(EXAMPLE_SET)
+    assert not is_code(x) and not is_code(x)
+    assert len(calls) == 1
+    # the ε check runs before the memo, on every call
+    eps = parse_language('{"alphabet": ["a"], "words": [[], [0]]}')
+    for _ in range(2):
+        with pytest.raises(EpsilonNotAllowed):
+            is_code(eps)
+    assert len(calls) == 1
+
+
 def test_is_code_agrees_with_factorization_oracle_exhaustive():
     for x in exhaustive_corpus():
         claim = is_code(x)
