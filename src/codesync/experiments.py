@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
-from .synchrony import is_synchronizing_code, shortest_sync_pair
+from .synchrony import _code_sync_pair, _code_synchronizes, is_synchronizing_code, shortest_sync_pair
 
 CLASS_TAGS = ("all", "codes", "prefix", "complete-codes", "complete-prefix")
 
@@ -90,6 +91,11 @@ class ExperimentReport:
         return ",".join("" if c is None else str(c) for c in cells)
 
 
+def _pool_size(n: int, d: int) -> int:
+    """|A^{≤n}| without ε, the number of words :func:`_word_pool` builds."""
+    return sum(d ** k for k in range(1, n + 1))
+
+
 def _word_pool(alphabet: Alphabet, n: int) -> list[Word]:
     pool = []
     for k in range(1, n + 1):
@@ -98,15 +104,15 @@ def _word_pool(alphabet: Alphabet, n: int) -> list[Word]:
     return pool
 
 
-def _or_tables(values: list[int], half: int) -> tuple[list[int], list[int]]:
-    """Lookup tables for the OR of ``values[i]`` over the set bits i of a
-    pool or node mask: the low ``half`` bits index the first, the rest the
-    second."""
+def _or_tables(values: list[int], half: int, combine=operator.or_) -> tuple[list[int], list[int]]:
+    """Lookup tables for the OR (or another ``combine``) of ``values[i]`` over
+    the set bits i of a pool or node mask: the low ``half`` bits index the
+    first, the rest the second."""
 
     def table(vs: list[int]) -> list[int]:
         t = [0]
         for v in vs:
-            t += [m | v for m in t]
+            t += [combine(m, v) for m in t]
         return t
 
     return table(values[:half]), table(values[half:])
@@ -170,13 +176,15 @@ class _PoolTrie:
     """
 
     def __init__(self, n: int, d: int, instance_cap: int):
-        self.alphabet = Alphabet.lowercase(d)
-        self.pool = _word_pool(self.alphabet, n)
-        if 2 ** len(self.pool) > instance_cap:
+        size = _pool_size(n, d)
+        if size >= max(instance_cap, 0).bit_length():  # 2^size > instance_cap
             raise SearchBudgetExceeded(
-                f"exhaustive enumeration needs 2^{len(self.pool)} candidates; "
+                f"exhaustive enumeration needs 2^{size} candidates; "
                 f"cap is {instance_cap} — use random mode"
             )
+        self.n = n
+        self.alphabet = Alphabet.lowercase(d)
+        self.pool = _word_pool(self.alphabet, n)
         words = [w.indices for w in self.pool]
         nodes = [()] + [u for u in words if len(u) < n]
         node_bit = {u: 1 << j for j, u in enumerate(nodes)}
@@ -213,33 +221,42 @@ class _PoolTrie:
             self.alphabet, tuple(w for i, w in enumerate(self.pool) if bits >> i & 1)
         )
 
-    def masks(self, class_tag: str, canonicalize: bool, cap: int) -> Iterator[int]:
+    def masks(self, class_tag: str, canonicalize: bool) -> Iterator[int]:
         """The pool masks of the class members, ascending.
 
-        The prefix and letter-permutation tests run on the mask through OR
-        tables, the code test is the Sardinas–Patterson closure on the member
-        index tuples, and completeness is searched on a :class:`_PoolView`.
+        The Kraft, prefix and letter-permutation tests run on the mask through
+        lookup tables, and the code test is the Sardinas–Patterson closure on
+        the member index tuples.  The Kraft sum Σ d^(n−|x|) over the members
+        is at most d^n for every finite code (McMillan) and equals d^n exactly
+        when the code is complete (Schützenberger), so it drops most non-codes
+        before the closure and decides completeness on its own.
         """
         if class_tag not in CLASS_TAGS:
             raise CodesyncError(f"unknown class tag {class_tag!r}")
-        words, half = self.words, self.half
-        ranks = _rank_tables(self.pool, len(self.alphabet), half) if canonicalize else None
+        words, half, d = self.words, self.half, len(self.alphabet)
+        ranks = _rank_tables(self.pool, d, half) if canonicalize else None
         # for each pool word, the mask of pool words it is a proper prefix of
         extensions = _or_tables(
             [sum(1 << j for j, v in enumerate(words) if len(u) < len(v) and v[: len(u)] == u) for u in words],
             half,
         ) if class_tag in ("prefix", "complete-prefix") else None
+        kraft = _or_tables(
+            [d ** (self.n - len(u)) for u in words], half, operator.add
+        ) if class_tag != "all" else None
+        full = d ** self.n
         code = class_tag in ("codes", "complete-codes")
         complete = class_tag in ("complete-codes", "complete-prefix")
         for bits in range(1, 2 ** len(words)):
             lo, hi = bits & ((1 << half) - 1), bits >> half
+            if kraft is not None:
+                total = kraft[0][lo] + kraft[1][hi]
+                if total > full or complete and total < full:
+                    continue
             if extensions is not None and (extensions[0][lo] | extensions[1][hi]) & bits:
                 continue
             if ranks is not None and not _is_canonical(lo, hi, ranks):
                 continue
             if code and not _sardinas_patterson([u for i, u in enumerate(words) if bits >> i & 1]):
-                continue
-            if complete and _incompletable_word(_PoolView(self, bits), cap) is not None:
                 continue
             yield bits
 
@@ -284,7 +301,6 @@ def enumerate_class_languages(
     d: int,
     canonicalize: bool = True,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[FiniteLanguage]:
     """All nonempty languages of size ≤ n on d letters in the class.
 
@@ -295,14 +311,14 @@ def enumerate_class_languages(
     for each member.
     """
     trie = _PoolTrie(n, d, instance_cap)
-    for bits in trie.masks(class_tag, canonicalize, cap):
+    for bits in trie.masks(class_tag, canonicalize):
         yield trie.language(bits)
 
 
 def random_language(rng: random.Random, n: int, d: int) -> FiniteLanguage:
     """Word count uniform in [2, 2n], each word uniform in A^{≤n}."""
     alphabet = Alphabet.lowercase(d)
-    pool_size = sum(d ** k for k in range(1, n + 1))
+    pool_size = _pool_size(n, d)
 
     def pick() -> Word:
         idx = rng.randrange(pool_size)
@@ -411,7 +427,7 @@ def estimate_R(
         trie = _PoolTrie(n, d, instance_cap)
         instances = (
             (_PoolView(trie, bits), partial(trie.language, bits))
-            for bits in trie.masks(class_tag, True, cap)
+            for bits in trie.masks(class_tag, True)
         )
     elif mode == "random":
         instances = (
@@ -473,15 +489,31 @@ def estimate_C(
     Instances whose pair search exhausts the budget are counted separately
     and never folded into the max; for code classes, provably
     non-synchronizing instances are excluded exactly.
+
+    Exhaustive mode tests each member of a code class on a view of the pool
+    trie and builds a language only when the maximum grows, checking the pair
+    again on its flower automaton; ``all`` members, which need not be codes,
+    get the language-level search.
     """
     _check_sizes(n, mode, samples)
     if budget < 0:
         raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
     start = time.monotonic()
+    codes_class = class_tag in ("codes", "prefix", "complete-codes", "complete-prefix")
     if mode == "exhaustive":
-        instances = enumerate_class_languages(class_tag, n, d, True, instance_cap, cap)
+        trie = _PoolTrie(n, d, instance_cap)
+        masks = trie.masks(class_tag, True)
+        if codes_class:
+            instances = ((_PoolView(trie, bits), partial(trie.language, bits)) for bits in masks)
+        else:
+            instances = ((x, lambda x=x: x) for x in map(trie.language, masks))
     elif mode == "random":
-        instances = sample_class_languages(class_tag, n, d, samples, seed, cap)
+        languages = sample_class_languages(class_tag, n, d, samples, seed, cap)
+        instances = (
+            (flower_automaton(x) if codes_class else x, lambda x=x: x)
+            for x in languages
+            if not x.contains_epsilon
+        )
     else:
         raise CodesyncError(f"unknown mode {mode!r}")
     value = None
@@ -489,18 +521,24 @@ def estimate_C(
     witness = None
     count = 0
     inconclusive = 0
-    codes_class = class_tag in ("codes", "prefix", "complete-codes", "complete-prefix")
-    for language in instances:
-        if language.contains_epsilon:
-            continue
-        if codes_class and not is_synchronizing_code(language, cap):
-            continue
-        pair = shortest_sync_pair(language, budget, cap)
+    for target, build in instances:
+        if codes_class:
+            if not _code_synchronizes(target, cap):
+                continue
+            pair = _code_sync_pair(target, budget, cap)
+        else:
+            pair = shortest_sync_pair(target, budget, cap)
         if pair is None:
             inconclusive += 1
             continue
         count += 1
         if value is None or pair.total_length > value:
+            language = build()
+            if shortest_sync_pair(language, budget, cap) != pair:
+                raise InternalInvariantError(
+                    "pool-trie view and flower automaton disagree",
+                    {"language": language.word_strings(), "view_pair": [pair.u.text, pair.v.text]},
+                )
             value = pair.total_length
             witness_language = tuple(language.word_strings())
             witness = (pair.u.text, pair.v.text)

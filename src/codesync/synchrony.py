@@ -53,16 +53,20 @@ class SyncPair:
         return len(self.u) + len(self.v)
 
 
-def _family(language: FiniteLanguage, full: bool, back: bool, cap: int) -> tuple[int, ...]:
+def _closure(automaton: Automaton, full: bool, back: bool, cap: int) -> tuple[int, ...]:
     """The nonempty subsets δ(S, w) (δ(S, w⁻¹) when ``back``) over all words w,
-    from S = Q when ``full`` and S = {1} otherwise; memoized on the language."""
+    from S = Q when ``full`` and S = {1} otherwise."""
+    start = automaton.full_mask if full else 1 << automaton.initial
+    order, _ = subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")
+    return tuple(order)
+
+
+def _family(language: FiniteLanguage, full: bool, back: bool, cap: int) -> tuple[int, ...]:
+    """:func:`_closure` on the flower automaton, memoized on the language."""
     key = ("family", full, back)
     family = language._memo.get(key)
     if family is None:
-        automaton = flower_automaton(language)
-        start = automaton.full_mask if full else 1 << automaton.initial
-        order, _ = subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")
-        family = language._memo[key] = tuple(order)
+        family = language._memo[key] = _closure(flower_automaton(language), full, back, cap)
     elif len(family) > cap:
         raise SubsetCapExceeded(cap, "subset family closure")
     return family
@@ -147,9 +151,21 @@ def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CA
     """
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    init = 1 << flower_automaton(language).initial
-    bwd_set = set(_family(language, True, True, cap))
-    for s in _family(language, True, False, cap):
+    return _code_synchronizes(flower_automaton(language), cap, partial(_family, language, True, cap=cap))
+
+
+def _code_synchronizes(automaton: Automaton, cap: int, family=None) -> bool:
+    """The test of :func:`is_synchronizing_code` on the flower automaton of a
+    code, or on any object with the same kernel interface.
+
+    ``family(back)`` gives the subsets δ(Q, w) (δ(Q, w⁻¹) when ``back``); by
+    default they are searched afresh on ``automaton``.
+    """
+    if family is None:
+        family = partial(_closure, automaton, True, cap=cap)
+    init = 1 << automaton.initial
+    bwd_set = set(family(True))
+    for s in family(False):
         if s & init and any(s & t == init for t in bwd_set):
             return True
     return False
@@ -294,18 +310,7 @@ def shortest_sync_pair(
     code = is_code(language)
     automaton = flower_automaton(language)
     if code and where is None:
-        init = 1 << automaton.initial
-        fwd_reps = _star_reps(automaton, cap, back=False)
-        bwd_reps = _star_reps(automaton, cap, back=True)
-        fwd, bwd = [], []  # representatives by length
-        for total in range(budget + 1):
-            fwd.append(next(fwd_reps, []))
-            bwd.append(next(bwd_reps, []))
-            for lu in range(total + 1):
-                for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
-                    if mu & mv == init:
-                        return SyncPair(Word(language.alphabet, wu), Word(language.alphabet, wv), "code")
-        return None
+        return _code_sync_pair(automaton, budget, cap)
     checker = (
         partial(_code_pair_check, automaton)
         if code
@@ -324,6 +329,25 @@ def shortest_sync_pair(
                         continue
                     if checker(u, v):
                         return SyncPair(u=u, v=v, checked_by="code" if code else "general")
+    return None
+
+
+def _code_sync_pair(automaton: Automaton, budget: int, cap: int) -> Optional[SyncPair]:
+    """The code-path search of :func:`shortest_sync_pair` on the flower
+    automaton of a code, or on any object with the same kernel interface:
+    minimal X*-representatives paired by total length, then (|u|, lex u, lex v).
+    """
+    init = 1 << automaton.initial
+    fwd_reps = _star_reps(automaton, cap, back=False)
+    bwd_reps = _star_reps(automaton, cap, back=True)
+    fwd, bwd = [], []  # representatives by length
+    for total in range(budget + 1):
+        fwd.append(next(fwd_reps, []))
+        bwd.append(next(bwd_reps, []))
+        for lu in range(total + 1):
+            for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
+                if mu & mv == init:
+                    return SyncPair(Word(automaton.alphabet, wu), Word(automaton.alphabet, wv), "code")
     return None
 
 

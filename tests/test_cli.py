@@ -186,6 +186,20 @@ def test_resource_cap_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_resource_cap_is_reported_before_the_pool_is_built(capsys, monkeypatch):
+    from codesync import experiments
+
+    def no_pool(alphabet, n):
+        raise AssertionError("the word pool was built")
+
+    monkeypatch.setattr(experiments, "_word_pool", no_pool)
+    assert main(["experiment", "R", "--class", "all", "--n", "40", "--d", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "R", "--class", "all", "--n", "-1", "--d", "2"],
     ["experiment", "R", "--class", "all", "--n", "0", "--d", "2"],

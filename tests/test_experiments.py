@@ -17,8 +17,11 @@ from codesync import (
     shortest_incompletable,
     verify_main_bound,
 )
+from codesync import experiments
 from codesync.automata import flower_automaton, states_from_mask
+from codesync.completeness import _incompletable_word
 from codesync.errors import DEFAULT_INSTANCE_CAP, CodesyncError, InternalInvariantError
+from codesync.languages import _sardinas_patterson
 from codesync.experiments import (
     CLASS_TAGS,
     CSV_HEADER,
@@ -83,6 +86,28 @@ def test_estimate_R_matches_brute_force_maximum():
 def test_estimate_R_cap_suggests_random_mode():
     with pytest.raises(SearchBudgetExceeded):
         estimate_R("all", 3, 2, instance_cap=100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: estimate_R("all", 40, 2),
+    lambda: estimate_C("codes", 40, 2),
+    lambda: next(enumerate_class_languages("all", 40, 2)),
+])
+def test_instance_cap_is_checked_before_the_pool_is_built(monkeypatch, call):
+    # a pool of 2^41 − 2 words must be refused from its size alone
+    def no_pool(alphabet, n):
+        raise AssertionError("the word pool was built")
+
+    monkeypatch.setattr(experiments, "_word_pool", no_pool)
+    with pytest.raises(SearchBudgetExceeded):
+        call()
+
+
+def test_instance_cap_compares_the_exponent_exactly():
+    # 2^6 candidates at (2, 2): a cap of 64 admits them, 63 does not
+    assert len(list(enumerate_class_languages("all", 2, 2, False, instance_cap=64))) == 63
+    with pytest.raises(SearchBudgetExceeded):
+        next(enumerate_class_languages("all", 2, 2, False, instance_cap=63))
 
 
 def test_estimate_C_complete_codes_size_one():
@@ -165,7 +190,7 @@ def test_pool_view_steps_as_the_flower(n, d, stride):
     if stride == 1:
         masks = range(1, 2 ** len(trie.pool))
     else:
-        masks = list(trie.masks("all", True, 2 ** 20))[::stride]
+        masks = list(trie.masks("all", True))[::stride]
     for bits in masks:
         view = _PoolView(trie, bits)
         flower = flower_automaton(trie.language(bits))
@@ -179,6 +204,28 @@ def test_pool_view_steps_as_the_flower(n, d, stride):
             for a in range(d):
                 assert view.step_letter(relabel(subset), a) == relabel(flower.step_letter(subset, a))
                 assert view.step_letter_back(relabel(subset), a) == relabel(flower.step_letter_back(subset, a))
+
+
+@pytest.mark.parametrize("n,d,codes,complete", [
+    (3, 2, 1033, 49), (2, 3, 938, 14), (2, 2, 28, 6), (1, 4, 15, 1),
+])
+def test_kraft_sums_bound_every_code_and_decide_completeness(n, d, codes, complete):
+    # McMillan: a finite code has Kraft sum Σ d^(n−|x|) ≤ d^n; Schützenberger:
+    # a finite code is complete iff the sum is exactly d^n.  Checked over every
+    # pool mask against the closure and the completeness search on the view.
+    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    found = {"codes": 0, "complete": 0}
+    for bits in range(1, 2 ** len(trie.words)):
+        members = [u for i, u in enumerate(trie.words) if bits >> i & 1]
+        if not _sardinas_patterson(members):
+            continue
+        total = sum(d ** (n - len(u)) for u in members)
+        assert total <= d ** n, members
+        is_complete = _incompletable_word(_PoolView(trie, bits), 2 ** 20) is None
+        assert is_complete == (total == d ** n), members
+        found["codes"] += 1
+        found["complete"] += is_complete
+    assert found == {"codes": codes, "complete": complete}
 
 
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4)])
@@ -214,6 +261,34 @@ def test_R_sweep_builds_no_automaton_per_candidate(monkeypatch):
     assert 1 <= builds[FiniteLanguage] <= report.value + 2
 
 
+def test_C_sweep_builds_no_automaton_per_candidate(monkeypatch):
+    # the code-class C sweep tests and searches each member on its view, so a
+    # language and its flower are built only when the maximum grows, against
+    # 531 codes among the 8,255 canonical candidates
+    from codesync.automata import Automaton
+    from codesync.languages import FiniteLanguage
+
+    builds = {Automaton: 0, FiniteLanguage: 0}
+    for cls in builds:
+        def counted(self, _init=cls.__post_init__, _cls=cls):
+            builds[_cls] += 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = estimate_C("codes", 3, 2)
+    assert report.value == 9
+    assert 1 <= builds[Automaton] <= report.value + 2
+    assert 1 <= builds[FiniteLanguage] <= report.value + 2
+
+
+def test_C_sweep_rechecks_the_view_on_the_flower(monkeypatch):
+    # with no forward steps the view only finds pairs (ε, v), and at (3, 2)
+    # some code's shortest pair on its flower is shorter than any of them
+    monkeypatch.setattr(_PoolView, "step_letter", lambda self, mask, a: 0)
+    with pytest.raises(InternalInvariantError):
+        estimate_C("codes", 3, 2)
+
+
 def test_R_sweep_rechecks_the_view_on_the_flower(monkeypatch):
     # a view that finds every candidate incompletable by "a" disagrees with
     # the flower of {a}, whose least incompletable word is "b"
@@ -240,13 +315,17 @@ SWEEP_REPORTS = {
     ("R", "all"): (13, ["ba", "aaa", "aab", "aba", "abb", "bab", "bbb"], ["baaaabaaaabba"], 3339, 0),
     ("C", "complete-prefix"): (7, ["aa", "aba", "abb", "baa", "bab", "bba", "bbb"], ["aababaa", "ε"], 13, 0),
     ("C", "codes"): (9, ["aaa", "aba", "abb", "baa", "bab", "bbb"], ["ε", "aaaabbaaa"], 527, 0),
+    ("C", "complete-codes"): (7, ["aa", "aab", "aba", "abb", "bab", "bba", "bbb"], ["ε", "aababaa"], 26, 0),
+    ("C", "prefix"): (9, ["aaa", "aba", "abb", "baa", "bab", "bbb"], ["ε", "aaaabbaaa"], 346, 0),
+    ("R", "codes"): (11, ["aaa", "aab", "aba", "abb", "baa", "bab", "bbb"], ["bbaabbaabba"], 503, 0),
+    ("R", "complete-codes"): (None, None, None, 0, 0),
 }
 
 
 @pytest.mark.parametrize("kind,tag", list(SWEEP_REPORTS))
 def test_exhaustive_sweeps_at_three_are_pinned(kind, tag):
-    # value, witness language, witness and counts of the four n = 3 binary
-    # sweeps; the witnesses depend on the enumeration order
+    # value, witness language, witness and counts of the n = 3 binary sweeps;
+    # the witnesses depend on the enumeration order
     report = (estimate_R if kind == "R" else estimate_C)(tag, 3, 2).to_dict()
     got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
     assert got == SWEEP_REPORTS[kind, tag]
