@@ -233,16 +233,12 @@ def road_colored_sync_code(
 class Encoding:
     """A monomorphism h: A* → B* given by its images on the source letters.
 
-    The image set is required to be a code, so h is injective on words; flags
-    record what has been verified of the image.
+    The image set is required to be a code, so h is injective on words.
     """
 
     source: Alphabet
     target: Alphabet
     images: tuple[Word, ...]
-    image_is_prefix: bool = False
-    image_is_complete: bool = False
-    image_is_synchronizing: Optional[bool] = None
 
     def __post_init__(self):
         if len(self.images) != len(self.source):
@@ -256,25 +252,13 @@ class Encoding:
             raise ParseError("the image set is not a code; h would not be injective")
 
     @classmethod
-    def from_code(
-        cls,
-        source: Alphabet,
-        code: FiniteLanguage,
-        image_is_synchronizing: Optional[bool] = None,
-    ) -> "Encoding":
+    def from_code(cls, source: Alphabet, code: FiniteLanguage) -> "Encoding":
         """Map the i-th source letter to the i-th codeword in canonical order."""
         if len(code) != len(source):
             raise ParseError(
                 f"code has {len(code)} words but the source alphabet has {len(source)} letters"
             )
-        return cls(
-            source=source,
-            target=code.alphabet,
-            images=tuple(code.words),
-            image_is_prefix=is_prefix(code),
-            image_is_complete=is_complete_language(code),
-            image_is_synchronizing=image_is_synchronizing,
-        )
+        return cls(source=source, target=code.alphabet, images=tuple(code.words))
 
     def image_language(self) -> FiniteLanguage:
         return FiniteLanguage(self.target, self.images)
@@ -293,7 +277,7 @@ class Encoding:
         Returns (u, leftover) with h(u)·leftover = w and leftover a proper
         prefix of some image (possibly ε).
         """
-        if not self.image_is_prefix:
+        if not is_prefix(self.image_language()):
             raise ParseError("greedy decoding needs a prefix image code")
         pos = 0
         letters: list[int] = []
@@ -441,7 +425,7 @@ def reduce_sync_to_binary(
     else:
         profile = length_profile_general(d)
     y = road_colored_sync_code(profile, seed=seed)
-    h = Encoding.from_code(language.alphabet, y, image_is_synchronizing=True)
+    h = Encoding.from_code(language.alphabet, y)
     hx = apply_encoding(h, language)
     if not is_complete_language(hx, cap):
         raise NotComplete("h(X) is incomplete although X and h(A) are complete")
@@ -547,14 +531,7 @@ def uniform_sync_encoding(
     for i in range(d):
         if images[i] is None:
             images[i] = next(it)
-    h = Encoding(
-        source=language.alphabet,
-        target=target,
-        images=tuple(images),
-        image_is_prefix=True,
-        image_is_complete=False,
-        image_is_synchronizing=True,
-    )
+    h = Encoding(source=language.alphabet, target=target, images=tuple(images))
     hx = apply_encoding(h, language)
     hu, hv = h.apply(pair.u), h.apply(pair.v)
     if not is_sync_pair(hx, hu, hv, cap=cap):

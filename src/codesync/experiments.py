@@ -222,28 +222,28 @@ class _PoolTrie:
         )
 
     def masks(self, class_tag: str, canonicalize: bool) -> Iterator[int]:
-        """The pool masks of the class members, ascending.
+        """The pool masks of the class members, ascending; ``class_tag`` is
+        one of :data:`CLASS_TAGS`, checked by the caller.
 
         The Kraft, prefix and letter-permutation tests run on the mask through
         lookup tables, and the code test is the Sardinas–Patterson closure on
         the member index tuples.  The Kraft sum Σ d^(n−|x|) over the members
         is at most d^n for every finite code (McMillan) and equals d^n exactly
         when the code is complete (Schützenberger), so it drops most non-codes
-        before the closure and decides completeness on its own.
+        before the closure and decides completeness on its own.  Pool word
+        i < n_nodes − 1 is trie node i + 1, so the members shorter than n, as
+        nodes, are ``(bits & short) << 1``: the mask is a prefix code iff
+        none of them is a proper prefix of a member, a live node.
         """
-        if class_tag not in CLASS_TAGS:
-            raise CodesyncError(f"unknown class tag {class_tag!r}")
         words, half, d = self.words, self.half, len(self.alphabet)
         ranks = _rank_tables(self.pool, d, half) if canonicalize else None
-        # for each pool word, the mask of pool words it is a proper prefix of
-        extensions = _or_tables(
-            [sum(1 << j for j, v in enumerate(words) if len(u) < len(v) and v[: len(u)] == u) for u in words],
-            half,
-        ) if class_tag in ("prefix", "complete-prefix") else None
         kraft = _or_tables(
             [d ** (self.n - len(u)) for u in words], half, operator.add
         ) if class_tag != "all" else None
         full = d ** self.n
+        prefix = class_tag in ("prefix", "complete-prefix")
+        short = (1 << (self.n_nodes - 1)) - 1
+        live_low, live_high = self.live
         code = class_tag in ("codes", "complete-codes")
         complete = class_tag in ("complete-codes", "complete-prefix")
         for bits in range(1, 2 ** len(words)):
@@ -252,7 +252,7 @@ class _PoolTrie:
                 total = kraft[0][lo] + kraft[1][hi]
                 if total > full or complete and total < full:
                     continue
-            if extensions is not None and (extensions[0][lo] | extensions[1][hi]) & bits:
+            if prefix and (bits & short) << 1 & (live_low[lo] | live_high[hi]):
                 continue
             if ranks is not None and not _is_canonical(lo, hi, ranks):
                 continue
@@ -295,6 +295,14 @@ class _PoolView:
         return out
 
 
+def _class_pool(class_tag: str, n: int, d: int, instance_cap: int) -> _PoolTrie:
+    """The pool trie of an exhaustive enumeration, built only once the class
+    tag and the candidate count have been checked."""
+    if class_tag not in CLASS_TAGS:
+        raise CodesyncError(f"unknown class tag {class_tag!r}")
+    return _PoolTrie(n, d, instance_cap)
+
+
 def enumerate_class_languages(
     class_tag: str,
     n: int,
@@ -310,7 +318,7 @@ def enumerate_class_languages(
     run on the masks (:meth:`_PoolTrie.masks`), so a language is built only
     for each member.
     """
-    trie = _PoolTrie(n, d, instance_cap)
+    trie = _class_pool(class_tag, n, d, instance_cap)
     for bits in trie.masks(class_tag, canonicalize):
         yield trie.language(bits)
 
@@ -336,21 +344,32 @@ def random_language(rng: random.Random, n: int, d: int) -> FiniteLanguage:
     return FiniteLanguage(alphabet, tuple(pick() for _ in range(count)))
 
 
-def _random_complete_instance(
-    rng: random.Random, n: int, d: int, allow_reverse: bool
-) -> FiniteLanguage:
-    """A random complete code of size ≤ n: a Kraft tree with shuffled letters,
-    reversed into a suffix code half the time when allowed."""
-    from .encoding import kraft_canonical, LengthProfile
-
+def _random_tree(rng: random.Random, d: int, height: int, splits: int) -> list[int]:
+    """Leaf depths of a full d-ary tree of height ≤ ``height``, grown from the
+    d leaves of the root by up to ``splits`` splits of a random leaf."""
     leaves = [1] * d
-    for _ in range(rng.randint(0, 2 ** max(n - 1, 1))):
-        expandable = [i for i, k in enumerate(leaves) if k < n]
+    for _ in range(splits):
+        expandable = [i for i, k in enumerate(leaves) if k < height]
         if not expandable:
             break
         i = rng.choice(expandable)
         k = leaves.pop(i)
         leaves.extend([k + 1] * d)
+    return leaves
+
+
+def _random_complete_instance(
+    rng: random.Random, n: int, d: int, allow_reverse: bool
+) -> FiniteLanguage:
+    """A random complete code of size ≤ n: a Kraft tree with shuffled letters,
+    reversed into a suffix code half the time when allowed.  On one letter the
+    complete codes are the single words a^k."""
+    from .encoding import kraft_canonical, LengthProfile
+
+    leaves = _random_tree(rng, d, n, rng.randint(0, 2 ** max(n - 1, 1)))
+    if d == 1:
+        alphabet = Alphabet.lowercase(1)
+        return FiniteLanguage(alphabet, (Word(alphabet, (0,) * leaves[0]),))
     x = kraft_canonical(LengthProfile(d, tuple(sorted(leaves))))
     perm = list(range(d))
     rng.shuffle(perm)
@@ -361,6 +380,9 @@ def _random_complete_instance(
     return x
 
 
+_MAX_DRAWS_PER_SAMPLE = 5000
+
+
 def sample_class_languages(
     class_tag: str,
     n: int,
@@ -368,7 +390,6 @@ def sample_class_languages(
     samples: int,
     seed: int,
     cap: int = DEFAULT_SUBSET_CAP,
-    max_draws_per_sample: int = 5000,
 ) -> Iterator[FiniteLanguage]:
     """Seeded in-class random instances.
 
@@ -379,7 +400,7 @@ def sample_class_languages(
     rng = random.Random(seed)
     complete_class = class_tag in ("complete-codes", "complete-prefix")
     for _ in range(samples):
-        for _ in range(max_draws_per_sample):
+        for _ in range(_MAX_DRAWS_PER_SAMPLE):
             if complete_class:
                 language = _random_complete_instance(
                     rng, n, d, allow_reverse=class_tag == "complete-codes"
@@ -392,15 +413,88 @@ def sample_class_languages(
         else:
             raise SearchBudgetExceeded(
                 f"rejection sampling found no {class_tag} instance in "
-                f"{max_draws_per_sample} draws"
+                f"{_MAX_DRAWS_PER_SAMPLE} draws"
             )
 
 
-def _check_sizes(n: int, mode: str, samples: int) -> None:
+_INCONCLUSIVE = object()  # an evaluator's answer when the search ran out of budget
+
+
+def _sweep(
+    kind: str,
+    class_tag: str,
+    n: int,
+    d: int,
+    mode: str,
+    samples: int,
+    seed: int,
+    instance_cap: int,
+    cap: int,
+    evaluate,
+    recheck,
+) -> ExperimentReport:
+    """The sweep under :func:`estimate_R` and :func:`estimate_C`.
+
+    An instance is an automaton-like object, a :class:`_PoolView` of each
+    class member in exhaustive mode and the flower of each sample in random
+    mode, with a thunk that builds its language.  ``evaluate(automaton,
+    build)`` answers None for a non-instance, ``_INCONCLUSIVE``, or (length,
+    witness words).  The language is built only when the maximum grows, and
+    ``recheck(language)``, a language-level search, must then give the same
+    answer.
+    """
     if n < 1:
         raise CodesyncError(f"the word length n must be at least 1, got {n}")
     if mode == "random" and samples < 1:
         raise CodesyncError(f"random mode needs at least 1 sample, got {samples}")
+    start = time.monotonic()
+    if mode == "exhaustive":
+        trie = _class_pool(class_tag, n, d, instance_cap)
+        instances = (
+            (_PoolView(trie, bits), partial(trie.language, bits))
+            for bits in trie.masks(class_tag, True)
+        )
+    elif mode == "random":
+        instances = (
+            (flower_automaton(x), lambda x=x: x)
+            for x in sample_class_languages(class_tag, n, d, samples, seed, cap)
+        )
+    else:
+        raise CodesyncError(f"unknown mode {mode!r}")
+    value = witness_language = witness = None
+    count = inconclusive = 0
+    for automaton, build in instances:
+        found = evaluate(automaton, build)
+        if found is None:
+            continue
+        if found is _INCONCLUSIVE:
+            inconclusive += 1
+            continue
+        count += 1
+        if value is None or found[0] > value:
+            language = build()
+            if recheck(language) != found:
+                raise InternalInvariantError(
+                    "pool-trie view and flower automaton disagree",
+                    {"language": language.word_strings(), "view_witness": [w.text for w in found[1]]},
+                )
+            value, witness = found[0], tuple(w.text for w in found[1])
+            witness_language = tuple(language.word_strings())
+    return ExperimentReport(
+        kind=kind,
+        class_tag=class_tag,
+        n=n,
+        d=d,
+        mode=mode,
+        value=value,
+        witness_language=witness_language,
+        witness=witness,
+        instance_count=count,
+        inconclusive_count=inconclusive,
+        samples=samples if mode == "random" else None,
+        seed=seed if mode == "random" else None,
+        elapsed_seconds=time.monotonic() - start,
+    )
 
 
 def estimate_R(
@@ -421,55 +515,15 @@ def estimate_R(
     builds a language only when the maximum grows, checking the word again on
     its flower automaton.
     """
-    _check_sizes(n, mode, samples)
-    start = time.monotonic()
-    if mode == "exhaustive":
-        trie = _PoolTrie(n, d, instance_cap)
-        instances = (
-            (_PoolView(trie, bits), partial(trie.language, bits))
-            for bits in trie.masks(class_tag, True)
-        )
-    elif mode == "random":
-        instances = (
-            (flower_automaton(x), lambda x=x: x)
-            for x in sample_class_languages(class_tag, n, d, samples, seed, cap)
-            if not x.contains_epsilon
-        )
-    else:
-        raise CodesyncError(f"unknown mode {mode!r}")
-    value = None
-    witness_language = None
-    witness = None
-    count = 0
-    for automaton, build in instances:
-        w = _incompletable_word(automaton, cap)
-        if w is None:
-            continue
-        count += 1
-        if value is None or len(w) > value:
-            language = build()
-            if shortest_incompletable(language, cap) != w:
-                raise InternalInvariantError(
-                    "pool-trie view and flower automaton disagree",
-                    {"language": language.word_strings(), "view_word": w.text},
-                )
-            value = len(w)
-            witness_language = tuple(language.word_strings())
-            witness = (w.text,)
-    return ExperimentReport(
-        kind="R",
-        class_tag=class_tag,
-        n=n,
-        d=d,
-        mode=mode,
-        value=value,
-        witness_language=witness_language,
-        witness=witness,
-        instance_count=count,
-        inconclusive_count=0,
-        samples=samples if mode == "random" else None,
-        seed=seed if mode == "random" else None,
-        elapsed_seconds=time.monotonic() - start,
+
+    def incompletable(search, target, build=None):
+        w = search(target, cap)
+        return None if w is None else (len(w), (w,))
+
+    return _sweep(
+        "R", class_tag, n, d, mode, samples, seed, instance_cap, cap,
+        partial(incompletable, _incompletable_word),
+        partial(incompletable, shortest_incompletable),
     )
 
 
@@ -495,82 +549,29 @@ def estimate_C(
     again on its flower automaton; ``all`` members, which need not be codes,
     get the language-level search.
     """
-    _check_sizes(n, mode, samples)
     if budget < 0:
         raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
-    start = time.monotonic()
-    codes_class = class_tag in ("codes", "prefix", "complete-codes", "complete-prefix")
-    if mode == "exhaustive":
-        trie = _PoolTrie(n, d, instance_cap)
-        masks = trie.masks(class_tag, True)
-        if codes_class:
-            instances = ((_PoolView(trie, bits), partial(trie.language, bits)) for bits in masks)
-        else:
-            instances = ((x, lambda x=x: x) for x in map(trie.language, masks))
-    elif mode == "random":
-        languages = sample_class_languages(class_tag, n, d, samples, seed, cap)
-        instances = (
-            (flower_automaton(x) if codes_class else x, lambda x=x: x)
-            for x in languages
-            if not x.contains_epsilon
-        )
-    else:
-        raise CodesyncError(f"unknown mode {mode!r}")
-    value = None
-    witness_language = None
-    witness = None
-    count = 0
-    inconclusive = 0
-    for target, build in instances:
-        if codes_class:
-            if not _code_synchronizes(target, cap):
-                continue
-            pair = _code_sync_pair(target, budget, cap)
-        else:
-            pair = shortest_sync_pair(target, budget, cap)
-        if pair is None:
-            inconclusive += 1
-            continue
-        count += 1
-        if value is None or pair.total_length > value:
-            language = build()
-            if shortest_sync_pair(language, budget, cap) != pair:
-                raise InternalInvariantError(
-                    "pool-trie view and flower automaton disagree",
-                    {"language": language.word_strings(), "view_pair": [pair.u.text, pair.v.text]},
-                )
-            value = pair.total_length
-            witness_language = tuple(language.word_strings())
-            witness = (pair.u.text, pair.v.text)
-    return ExperimentReport(
-        kind="C",
-        class_tag=class_tag,
-        n=n,
-        d=d,
-        mode=mode,
-        value=value,
-        witness_language=witness_language,
-        witness=witness,
-        instance_count=count,
-        inconclusive_count=inconclusive,
-        samples=samples if mode == "random" else None,
-        seed=seed if mode == "random" else None,
-        elapsed_seconds=time.monotonic() - start,
+
+    def found(pair):
+        return _INCONCLUSIVE if pair is None else (pair.total_length, (pair.u, pair.v))
+
+    def evaluate(automaton, build):
+        if class_tag == "all":
+            return found(shortest_sync_pair(build(), budget, cap))
+        if not _code_synchronizes(automaton, cap):
+            return None
+        return found(_code_sync_pair(automaton, budget, cap))
+
+    return _sweep(
+        "C", class_tag, n, d, mode, samples, seed, instance_cap, cap,
+        evaluate, lambda language: found(shortest_sync_pair(language, budget, cap)),
     )
 
 
 def random_tree_profile(rng: random.Random, max_depth: int) -> tuple[int, ...]:
     """Leaf-depth multiset of a random full binary tree with coprime depths."""
     while True:
-        leaves = [1, 1]
-        budget = rng.randint(0, 2 ** (max_depth - 1))
-        for _ in range(budget):
-            expandable = [i for i, k in enumerate(leaves) if k < max_depth]
-            if not expandable:
-                break
-            i = rng.choice(expandable)
-            k = leaves.pop(i)
-            leaves.extend((k + 1, k + 1))
+        leaves = _random_tree(rng, 2, max_depth, rng.randint(0, 2 ** (max_depth - 1)))
         if math.gcd(*leaves) == 1:
             return tuple(sorted(leaves))
 
@@ -579,7 +580,6 @@ def random_complete_sync_codes(
     count: int,
     seed: int = 0,
     max_size: int = 5,
-    reverse_half: bool = True,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> list[FiniteLanguage]:
     """Seeded complete synchronizing binary codes of size ≤ max_size.
@@ -603,7 +603,7 @@ def random_complete_sync_codes(
         if colored is None:
             continue
         language = first_return_language(colored)
-        if reverse_half and len(out) % 2 == 1:
+        if len(out) % 2 == 1:
             language = FiniteLanguage(
                 language.alphabet, tuple(w.reversed() for w in language.words)
             )

@@ -263,7 +263,6 @@ def half_reduction(
     v_side: Word,
     side: str,
     cap: int = DEFAULT_SUBSET_CAP,
-    collect_y: bool = True,
 ) -> tuple[Word, HalfReduction]:
     """One side of the pipeline: Qw ⊆ Qv₁ (left) or Qw⁻¹ ⊆ Qv₂⁻¹ (right).
 
@@ -301,8 +300,8 @@ def half_reduction(
             {"side": side, "w": w.text, "v_side": v_side.text},
         )
 
-    y = first_return_language(aprime) if collect_y else None
-    if y is not None and y.size > language.size:
+    y = first_return_language(aprime)
+    if y.size > language.size:
         raise InternalInvariantError(
             "ℓ(Y) exceeded ℓ(X)", {"y_size": y.size, "x_size": language.size}
         )
@@ -327,7 +326,6 @@ def synchronizing_pair_via_reduction(
     pair: Optional[SyncPair] = None,
     budget: int = 12,
     cap: int = DEFAULT_SUBSET_CAP,
-    collect_y: bool = True,
 ) -> tuple[SyncPair, ReductionTrace]:
     """Run the full pipeline and return the bounded pair with its trace.
 
@@ -350,8 +348,8 @@ def synchronizing_pair_via_reduction(
     if not is_sync_pair(language, pair.u, pair.v, method="code", cap=cap):
         raise NotSynchronizing("the supplied pair failed verification")
 
-    w1, left = half_reduction(language, pair.u, "left", cap, collect_y)
-    w2, right = half_reduction(language, pair.v, "right", cap, collect_y)
+    w1, left = half_reduction(language, pair.u, "left", cap)
+    w2, right = half_reduction(language, pair.v, "right", cap)
 
     witness = find_completion(language, w1 + w2, trim=True)
     if witness is None:

@@ -200,6 +200,16 @@ def test_resource_cap_is_reported_before_the_pool_is_built(capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("resource cap:")
 
 
+def test_random_complete_sweep_on_one_letter(capsys):
+    # the complete codes on one letter are the single words a^k
+    code, data = run_json(
+        capsys,
+        ["experiment", "C", "--class", "complete-prefix", "--n", "3", "--d", "1", "--mode", "random"],
+    )
+    assert code == 0
+    assert data["value"] == 0 and data["witness_language"] == ["a"]
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "R", "--class", "all", "--n", "-1", "--d", "2"],
     ["experiment", "R", "--class", "all", "--n", "0", "--d", "2"],

@@ -131,6 +131,17 @@ def test_encoding_requires_code_image():
         Encoding(source=BINARY, target=BINARY, images=(w("a"), w("a")))
 
 
+def test_decode_prefix_reads_the_image_code_itself():
+    # a directly constructed prefix encoding decodes greedily; a code that is
+    # not prefix is refused
+    ident = Encoding(source=BINARY, target=BINARY, images=(w("a"), w("b")))
+    u, leftover = ident.decode_prefix(w("ab"))
+    assert (u.text, leftover.text) == ("ab", "ε")
+    suffix = Encoding(source=BINARY, target=BINARY, images=(w("b"), w("ba")))
+    with pytest.raises(ParseError):
+        suffix.decode_prefix(w("ba"))
+
+
 def test_encoding_image_injectivity_on_random_inputs():
     src = Alphabet.of("a", "b")
     h = Encoding(source=src, target=BINARY, images=(w("b"), w("ba")))

@@ -103,6 +103,22 @@ def test_instance_cap_is_checked_before_the_pool_is_built(monkeypatch, call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: estimate_R("bogus", 40, 2),
+    lambda: estimate_C("bogus", 40, 2),
+    lambda: next(enumerate_class_languages("bogus", 40, 2)),
+])
+def test_class_tag_is_checked_before_the_pool_is_built(monkeypatch, call):
+    # an unknown tag is a usage error, not a resource cap, at any size
+    def no_pool(alphabet, n):
+        raise AssertionError("the word pool was built")
+
+    monkeypatch.setattr(experiments, "_word_pool", no_pool)
+    with pytest.raises(CodesyncError, match="unknown class tag") as caught:
+        call()
+    assert not isinstance(caught.value, SearchBudgetExceeded)
+
+
 def test_instance_cap_compares_the_exponent_exactly():
     # 2^6 candidates at (2, 2): a cap of 64 admits them, 63 does not
     assert len(list(enumerate_class_languages("all", 2, 2, False, instance_cap=64))) == 63
@@ -362,6 +378,34 @@ def test_estimate_C_random_mode_complete_prefix():
     b = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6, budget=8)
     assert a.value == b.value and a.witness == b.witness
     assert a.value is not None and a.value <= 7  # the exhaustive maximum
+
+
+RANDOM_REPORTS_DIGEST = "2e75c56a08353a754b68b681ad467fcc4b7ba863332ff2db2c8aa80151f5d40a"
+
+
+def test_random_reports_are_pinned():
+    """R and C in random mode for every class at (3, 2) and (2, 3), 40
+    samples, seed 11: the digest of the reports without ``elapsed_seconds``
+    pins the samplers' random streams and the sweep's fold."""
+    reports = []
+    for estimate in (estimate_R, estimate_C):
+        for tag in CLASS_TAGS:
+            for n, d in ((3, 2), (2, 3)):
+                report = estimate(tag, n, d, mode="random", samples=40, seed=11).to_dict()
+                del report["elapsed_seconds"]
+                reports.append(report)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == RANDOM_REPORTS_DIGEST
+
+
+@pytest.mark.parametrize("tag", ["complete-codes", "complete-prefix"])
+def test_random_complete_classes_on_one_letter(tag):
+    # the complete codes on one letter are the words a^k: none is incomplete,
+    # and only {a} synchronizes, with the pair (ε, ε)
+    for x in sample_class_languages(tag, 3, 1, samples=20, seed=5):
+        assert len(x) == 1 and set(x.words[0].text) == {"a"}
+    assert estimate_R(tag, 3, 1, mode="random", samples=20, seed=5).value is None
+    assert estimate_C(tag, 3, 1, mode="random", samples=20, seed=5).value in (None, 0)
 
 
 def test_random_complete_sync_codes_properties():

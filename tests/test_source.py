@@ -39,3 +39,21 @@ def test_only_the_kernels_raise_the_subset_cap():
         "automata.layered_search",
         "synchrony._family",
     }
+
+
+def test_one_function_builds_the_experiment_reports():
+    """The R and C sweeps share `experiments._sweep`, the only place a report is made."""
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "ExperimentReport"
+                ):
+                    builders.add(f"{path.stem}.{func.name}")
+    assert builders == {"experiments._sweep"}
