@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -294,121 +295,78 @@ def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -
     return hit is None
 
 
+def _reach(automaton: Automaton, start: int, back: bool) -> int:
+    """Mask of the states reachable from ``start`` (co-reachable when ``back``)."""
+    step = automaton.step_letter_back if back else automaton.step_letter
+    letters = range(len(automaton.alphabet))
+    seen = frontier = 1 << start
+    while frontier:
+        new = 0
+        for a in letters:
+            new |= step(frontier, a)
+        frontier = new & ~seen
+        seen |= new
+    return seen
+
+
 def is_transitive(automaton: Automaton) -> bool:
     """True iff the underlying graph is strongly connected."""
-    n = automaton.n_states
-    if n == 1:
-        return True
-    d = len(automaton.alphabet)
-
-    def reach(start: int, rows) -> int:
-        seen = 1 << start
-        frontier = 1 << start
-        while frontier:
-            new = 0
-            m = frontier
-            while m:
-                q = (m & -m).bit_length() - 1
-                m &= m - 1
-                for a in range(d):
-                    new |= rows[a][q]
-            frontier = new & ~seen
-            seen |= new
-        return seen
-
     full = automaton.full_mask
-    return (
-        reach(automaton.initial, automaton._letter_rows) == full
-        and reach(automaton.initial, automaton._rev_rows) == full
-    )
+    return all(_reach(automaton, automaton.initial, back) == full for back in (False, True))
 
 
 def is_unambiguous(automaton: Automaton) -> bool:
     """At most one accepting path per accepted word.
 
-    Checked on the accessible product A×A: the automaton is unambiguous iff no
-    pair (p, q) with p ≠ q is both reachable from (1, 1) and co-reachable to
-    (1, 1).  Assumes trim input (flower automata are trim by construction).
+    Checked on the product A×A: the automaton is unambiguous iff no pair
+    (p, q) with p ≠ q is both reachable from (1, 1) and co-reachable to
+    (1, 1).  The backward pass stays inside the forward set, which holds every
+    pair on a path from a reachable pair.  Assumes trim input (flower automata
+    are trim by construction).
     """
-    d = len(automaton.alphabet)
     init = (automaton.initial, automaton.initial)
 
-    def targets(q: int, a: int) -> list[int]:
-        return states_from_mask(automaton.table[q][a])
+    def expand(rows, within, pair, key):
+        for row in rows:
+            targets = states_from_mask(row[pair[1]])
+            for p in states_from_mask(row[pair[0]]):
+                for q in targets:
+                    if within is None or (p, q) in within:
+                        yield (p, q), key
 
-    reachable = {init}
-    frontier = [init]
-    while frontier:
-        p, q = frontier.pop()
-        for a in range(d):
-            for p2 in targets(p, a):
-                for q2 in targets(q, a):
-                    if (p2, q2) not in reachable:
-                        reachable.add((p2, q2))
-                        frontier.append((p2, q2))
-    # backward closure from (1,1) over the product graph, restricted to
-    # reachable pairs for economy
-    rev = {pair: [] for pair in reachable}
-    for p, q in reachable:
-        for a in range(d):
-            for p2 in targets(p, a):
-                for q2 in targets(q, a):
-                    if (p2, q2) in rev:
-                        rev[(p2, q2)].append((p, q))
-    co = {init}
-    frontier = [init]
-    while frontier:
-        pair = frontier.pop()
-        for prev in rev.get(pair, ()):
-            if prev not in co:
-                co.add(prev)
-                frontier.append(prev)
-    return all(p == q for (p, q) in reachable & co)
+    search = partial(layered_search, init, 0, cap=automaton.n_states ** 2, what="product search")
+    reachable = set().union(*search(partial(expand, automaton._letter_rows, None)))
+    backward = search(partial(expand, automaton._rev_rows, reachable))
+    return all(p == q for level in backward for p, q in level)
 
 
 def first_return_language(automaton: Automaton) -> FiniteLanguage:
     """Labels of all paths 1 → 1 with no intermediate visit to 1.
 
     This is the minimal generating set Y of L(A), with Y ∩ Y²Y* = ∅.  Raises
-    when some cycle avoids state 1, since Y would then be infinite.
+    when a cycle that avoids state 1 is reachable from it, since Y would then
+    be infinite; cycles out of reach of state 1 do not affect Y.
     """
     if automaton.accepting != frozenset({automaton.initial}):
         raise AutomatonContractError("first-return extraction needs I = F = {1}")
-    n, d = automaton.n_states, len(automaton.alphabet)
     init = automaton.initial
-    # the subgraph on Q \ {1} must be acyclic, else Y is infinite; peel by
-    # in-degree (Kahn)
-    indeg = [0] * n
-    for q, _, t in automaton.edges():
-        if q != init and t != init:
-            indeg[t] += 1
-    queue = [q for q in range(n) if q != init and indeg[q] == 0]
-    peeled = 0
-    while queue:
-        q = queue.pop()
-        peeled += 1
-        for a in range(d):
-            for t in states_from_mask(automaton.table[q][a]):
-                if t != init:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        queue.append(t)
-    if peeled != n - 1:
-        raise AutomatonContractError(
-            "a cycle avoids state 1; the first-return set is infinite"
-        )
-
+    out_edges: list[list] = [[] for _ in range(automaton.n_states)]
+    for q, a, t in automaton.edges():
+        out_edges[q].append((a, t))
     words: list[Word] = []
 
-    def walk(state: int, acc: tuple[int, ...]):
-        for a in range(d):
-            for t in states_from_mask(automaton.table[state][a]):
-                if t == init:
-                    words.append(Word(automaton.alphabet, acc + (a,)))
-                else:
-                    walk(t, acc + (a,))
+    def walk(state: int, acc: tuple[int, ...], path: int):
+        for a, t in out_edges[state]:
+            if t == init:
+                words.append(Word(automaton.alphabet, acc + (a,)))
+            elif path >> t & 1:
+                raise AutomatonContractError(
+                    "a cycle avoids state 1; the first-return set is infinite"
+                )
+            else:
+                walk(t, acc + (a,), path | 1 << t)
 
-    walk(init, ())
+    walk(init, (), 0)
     return FiniteLanguage(automaton.alphabet, tuple(words))
 
 

@@ -117,8 +117,10 @@ def cmd_incompletable(args) -> int:
     x = _load_language(args.language)
     w = shortest_incompletable(x)
     if args.max_len is not None:
+        # brute force only sees lengths ≤ max_len, so compare the search's answer cut there
         brute = brute_force_incompletable(x, args.max_len)
-        if (w is None) != (brute is None) or (w is not None and len(w) != len(brute)):
+        within = w is not None and len(w) <= args.max_len
+        if within != (brute is not None) or (within and len(w) != len(brute)):
             raise CodesyncError("oracle disagreement between search and brute force")
     if w is None:
         _emit(args, {"complete": True, "witness": None}, "language is complete")

@@ -78,15 +78,13 @@ def _state_words(automaton: Automaton, back: bool) -> list[Optional[Word]]:
     return out
 
 
-def find_completion(
-    language: FiniteLanguage, w: Word, trim: bool = True
-) -> Optional[CompletionWitness]:
+def find_completion(language: FiniteLanguage, w: Word) -> Optional[CompletionWitness]:
     """A completion witness (r, s) with r·w·s ∈ X*, or None if w is incompletable.
 
     The witness is found as a path search in the flower automaton; because
     flower states are proper prefixes of codewords, the shortest connecting
-    labels satisfy |r|, |s| ≤ ℓ(X) − 1, which is checked when ``trim`` is
-    set.  When w ∈ X* the trivial witness (ε, ε) is returned.
+    labels satisfy |r|, |s| ≤ ℓ(X) − 1, which is always checked.  When
+    w ∈ X* the trivial witness (ε, ε) is returned.
     """
     automaton = flower_automaton(language)
     access = _state_words(automaton, back=False)
@@ -100,7 +98,7 @@ def find_completion(
         details = {"r": r.text, "w": w.text, "s": s.text}
         if not kleene_membership(language, r + w + s):
             raise InternalInvariantError("completion r·w·s is not in X*", details)
-        if trim and max(len(r), len(s)) > max(language.size - 1, 0):
+        if max(len(r), len(s)) > max(language.size - 1, 0):
             raise InternalInvariantError("completion exceeds the trim bound ℓ(X) − 1", details)
         return CompletionWitness(
             r=r, s=s, word=w, left_in_star=kleene_membership(language, r)

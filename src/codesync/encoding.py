@@ -172,20 +172,22 @@ def _random_colorings(base: Automaton, rng: random.Random) -> Iterator[Automaton
         yield _colored_automaton(base, assignment)
 
 
+_EXHAUSTIVE_COLORING_LIMIT = 12  # states up to which every coloring is tried
+_MAX_COLORING_RESTARTS = 200_000
+
+
 def road_colored_sync_code(
-    profile: LengthProfile,
-    seed: int = DEFAULT_COLORING_SEED,
-    exhaustive_limit: int = 12,
-    max_restarts: int = 200_000,
+    profile: LengthProfile, seed: int = DEFAULT_COLORING_SEED
 ) -> FiniteLanguage:
     """A synchronizing complete prefix code with exactly the requested lengths.
 
     Requires Kraft sum 1 and gcd of lengths 1, which makes the underlying
     out-degree-d multigraph of the canonical code's automaton an AGW graph;
     a synchronizing coloring then exists.  Colorings are searched exhaustively
-    in lexicographic order for automata of at most ``exhaustive_limit`` states
-    and by seeded random restarts beyond that; exhaustion of the restart
-    budget is reported, never silently looped.
+    in lexicographic order for automata of at most
+    ``_EXHAUSTIVE_COLORING_LIMIT`` states and by at most
+    ``_MAX_COLORING_RESTARTS`` seeded random restarts beyond that; exhaustion
+    of the restart budget is reported, never silently looped.
     """
     if profile.gcd != 1:
         raise NotSynchronizing(
@@ -209,7 +211,7 @@ def road_colored_sync_code(
             raise InternalInvariantError("colored code is incomplete", details)
         return y
 
-    if base.n_states <= exhaustive_limit:
+    if base.n_states <= _EXHAUSTIVE_COLORING_LIMIT:
         per_state = [
             sorted(set(itertools.permutations(ms))) for ms in multisets
         ]
@@ -220,12 +222,13 @@ def road_colored_sync_code(
         raise NotSynchronizing(
             "no synchronizing coloring exists; the AGW precondition must have failed"
         )
-    for colored in itertools.islice(_random_colorings(base, random.Random(seed)), max_restarts):
+    restarts = _random_colorings(base, random.Random(seed))
+    for colored in itertools.islice(restarts, _MAX_COLORING_RESTARTS):
         y = finish(colored)
         if y is not None:
             return y
     raise SearchBudgetExceeded(
-        f"no synchronizing coloring found in {max_restarts} seeded restarts"
+        f"no synchronizing coloring found in {_MAX_COLORING_RESTARTS} seeded restarts"
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional
 
-from .automata import flower_automaton
+from .automata import first_return_language, flower_automaton
 from .completeness import _incompletable_word, is_complete_language, shortest_incompletable
 from .errors import (
     CodesyncError,
@@ -29,9 +29,16 @@ from .errors import (
     DEFAULT_INSTANCE_CAP,
     DEFAULT_SUBSET_CAP,
 )
+from .encoding import LengthProfile, _random_colorings, kraft_canonical
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
-from .synchrony import _code_sync_pair, _code_synchronizes, is_synchronizing_code, shortest_sync_pair
+from .synchrony import (
+    _code_sync_pair,
+    _code_synchronizes,
+    is_synchronizing_code,
+    is_synchronizing_dfa,
+    shortest_sync_pair,
+)
 
 CLASS_TAGS = ("all", "codes", "prefix", "complete-codes", "complete-prefix")
 
@@ -364,8 +371,6 @@ def _random_complete_instance(
     """A random complete code of size ≤ n: a Kraft tree with shuffled letters,
     reversed into a suffix code half the time when allowed.  On one letter the
     complete codes are the single words a^k."""
-    from .encoding import kraft_canonical, LengthProfile
-
     leaves = _random_tree(rng, d, n, rng.randint(0, 2 ** max(n - 1, 1)))
     if d == 1:
         alphabet = Alphabet.lowercase(1)
@@ -589,10 +594,6 @@ def random_complete_sync_codes(
     is not purely prefix.  Every instance is re-verified (code, complete,
     synchronizing) before being returned.
     """
-    from .automata import first_return_language
-    from .encoding import LengthProfile, _random_colorings, kraft_canonical
-    from .synchrony import is_synchronizing_dfa
-
     rng = random.Random(seed)
     out: list[FiniteLanguage] = []
     while len(out) < count:

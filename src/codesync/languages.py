@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import EpsilonNotAllowed, ParseError
 
@@ -178,10 +178,6 @@ class FiniteLanguage:
         canon = tuple(sorted(set(self.words), key=Word.sort_key))
         object.__setattr__(self, "words", canon)
         object.__setattr__(self, "_memo", {})
-
-    @classmethod
-    def from_words(cls, alphabet: Alphabet, words: Iterable[Word]) -> "FiniteLanguage":
-        return cls(alphabet, tuple(words))
 
     @classmethod
     def from_strings(cls, strings: Sequence[str], alphabet: Optional[Alphabet] = None) -> "FiniteLanguage":

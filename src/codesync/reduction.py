@@ -351,7 +351,7 @@ def synchronizing_pair_via_reduction(
     w1, left = half_reduction(language, pair.u, "left", cap)
     w2, right = half_reduction(language, pair.v, "right", cap)
 
-    witness = find_completion(language, w1 + w2, trim=True)
+    witness = find_completion(language, w1 + w2)
     if witness is None:
         raise InternalInvariantError(
             "w₁w₂ has no completion although X is complete",

@@ -317,6 +317,19 @@ def flower_reference(language: FiniteLanguage):
     return tuple(table), labels, letter_rows, rev_rows
 
 
+def strongly_connected_reference(table) -> bool:
+    """Warshall closure of the transition graph read from a plain table
+    (``table[q][a]`` a target bitmask): every state reaches every other."""
+    n = len(table)
+    reach = [[i == j or any(m >> j & 1 for m in table[i]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return all(all(row) for row in reach)
+
+
 def access_words_reference(automaton):
     """Reference: shortest (then lex-least) label of a path from state 1 to
     each state, by a first-in-first-out search over single states."""

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from codesync import (
+    Alphabet,
     Automaton,
     AutomatonContractError,
     EpsilonNotAllowed,
@@ -41,6 +42,7 @@ from helpers import (
     flower_reference,
     lang,
     random_language_sample,
+    strongly_connected_reference,
     w,
 )
 
@@ -200,6 +202,40 @@ def test_structural_predicates_on_examples():
     assert is_transitive(single) and is_unambiguous(single)
 
 
+def test_transitive_matches_the_warshall_reference():
+    rng = random.Random(909)
+    answers = []
+    for _ in range(600):
+        n, d = rng.randint(1, 6), rng.randint(1, 3)
+        density = rng.choice((0.15, 0.3, 0.5))
+        table = tuple(
+            tuple(sum(1 << t for t in range(n) if rng.random() < density) for _ in range(d))
+            for _ in range(n)
+        )
+        a = Automaton(
+            n_states=n, alphabet=Alphabet.lowercase(d), table=table, initial=rng.randrange(n)
+        )
+        expected = strongly_connected_reference(table)
+        assert is_transitive(a) == expected, (table, a.initial)
+        answers.append(expected)
+    assert answers.count(True) > 100 and answers.count(False) > 100
+
+
+def test_unambiguous_product_pair_cases():
+    def automaton(edges, d=2):
+        table = [[0] * d for _ in range(3)]
+        for q, a, t in edges:
+            table[q][a] |= 1 << t
+        return Automaton(n_states=3, alphabet=Alphabet.lowercase(d), table=tuple(map(tuple, table)))
+
+    # (1, 2) is reached by a but dies: aa and ab each have one path
+    assert is_unambiguous(automaton([(0, 0, 1), (0, 0, 2), (1, 1, 0), (2, 0, 0)]))
+    # (1, 2) is reached by a and returns to (0, 0) by b: ab has two paths
+    assert not is_unambiguous(automaton([(0, 0, 1), (0, 0, 2), (1, 1, 0), (2, 1, 0)]))
+    # (1, 2) returns to (0, 0) by c but is never reached: ac and bc are one path each
+    assert is_unambiguous(automaton([(0, 0, 1), (0, 1, 2), (1, 2, 0), (2, 2, 0)], d=3))
+
+
 def test_unambiguous_iff_code_and_deterministic_iff_prefix_exhaustive():
     for x in exhaustive_corpus():
         a = flower_automaton(x)
@@ -240,6 +276,16 @@ def test_first_return_rejects_one_avoiding_cycle():
     )
     with pytest.raises(AutomatonContractError):
         first_return_language(bad)
+
+
+def test_first_return_ignores_an_unreachable_cycle():
+    # state 2 loops on a but cannot be reached from state 0, so Y = {ab} is finite
+    a = Automaton(
+        n_states=3,
+        alphabet=BINARY,
+        table=((1 << 1, 0), (0, 1 << 0), (1 << 2, 1 << 0)),
+    )
+    assert first_return_language(a).word_strings() == ["ab"]
 
 
 def test_reverse_accepts_mirror():

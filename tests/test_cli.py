@@ -46,6 +46,13 @@ def test_incompletable_found(capsys, example_file):
     assert data["witness"] == "abbabba" and data["length"] == 7
 
 
+def test_incompletable_max_len_below_the_witness(capsys, example_file):
+    """Neither oracle finds a word of length ≤ 5, which is agreement, not a clash."""
+    code, data = run_json(capsys, ["incompletable", example_file, "--max-len", "5", "--json"])
+    assert code == 0
+    assert data["witness"] == "abbabba" and data["length"] == 7
+
+
 def test_incompletable_complete_language(capsys, tmp_path):
     p = tmp_path / "full.lang"
     p.write_text("a\nb\n")

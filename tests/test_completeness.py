@@ -91,7 +91,7 @@ def test_trim_bound_whenever_completion_exists():
         for k in range(0, 4):
             for tup in itertools.product((0, 1), repeat=k):
                 word = Word(BINARY, tup)
-                witness = find_completion(x, word, trim=True)
+                witness = find_completion(x, word)
                 if witness is not None:
                     assert len(witness.r) <= bound and len(witness.s) <= bound
 
@@ -146,7 +146,7 @@ def test_state_words_and_witnesses_match_the_references():
                                 key=Word.sort_key)
                         expected = (access[p], s)
                         break
-                witness = find_completion(x, word, trim=False)
+                witness = find_completion(x, word)
                 assert (witness and (witness.r, witness.s)) == expected, (x, word)
                 left = left_star_completion(x, word)
                 assert left == left_star_completion_reference(x, word), (x, word)

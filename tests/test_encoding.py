@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,21 @@ def test_road_colored_code_1332():
     y = road_colored_sync_code(LengthProfile(2, (1, 3, 3, 2)))
     assert sorted(len(u) for u in y.words) == [1, 2, 3, 3]
     assert is_synchronizing_code(y)
+
+
+def test_road_colored_code_by_random_restarts():
+    """A 16-state canonical automaton is past the exhaustive limit, so the
+    seeded random-restart branch colours it; the code is pinned."""
+    from codesync.encoding import _EXHAUSTIVE_COLORING_LIMIT
+
+    profile = LengthProfile(2, (1,) + (5,) * 16)
+    assert flower_automaton(kraft_canonical(profile)).n_states == 16 > _EXHAUSTIVE_COLORING_LIMIT
+    y = road_colored_sync_code(profile)
+    assert y.word_strings() == ["b"] + [
+        "a" + "".join(t) for t in itertools.product("ab", repeat=4)
+    ]
+    assert is_prefix(y) and is_complete_language(y) and is_synchronizing_code(y)
+    assert sorted(len(u) for u in y.words) == sorted(profile.lengths)
 
 
 def test_road_coloring_preserves_out_multisets():
