@@ -343,16 +343,18 @@ def is_unambiguous(automaton: Automaton) -> bool:
 def first_return_language(automaton: Automaton) -> FiniteLanguage:
     """Labels of all paths 1 → 1 with no intermediate visit to 1.
 
-    This is the minimal generating set Y of L(A), with Y ∩ Y²Y* = ∅.  Raises
-    when a cycle that avoids state 1 is reachable from it, since Y would then
-    be infinite; cycles out of reach of state 1 do not affect Y.
+    This is the minimal generating set Y of L(A), with Y ∩ Y²Y* = ∅.  The walk
+    keeps to states co-reachable to 1, and raises on a cycle there avoiding 1
+    that it reaches, since Y would then be infinite.
     """
     if automaton.accepting != frozenset({automaton.initial}):
         raise AutomatonContractError("first-return extraction needs I = F = {1}")
     init = automaton.initial
+    back = _reach(automaton, init, back=True)
     out_edges: list[list] = [[] for _ in range(automaton.n_states)]
     for q, a, t in automaton.edges():
-        out_edges[q].append((a, t))
+        if back >> t & 1:
+            out_edges[q].append((a, t))
     words: list[Word] = []
 
     def walk(state: int, acc: tuple[int, ...], path: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -111,15 +110,14 @@ def _word_pool(alphabet: Alphabet, n: int) -> list[Word]:
     return pool
 
 
-def _or_tables(values: list[int], half: int, combine=operator.or_) -> tuple[list[int], list[int]]:
-    """Lookup tables for the OR (or another ``combine``) of ``values[i]`` over
-    the set bits i of a pool or node mask: the low ``half`` bits index the
-    first, the rest the second."""
+def _or_tables(values: list[int], half: int) -> tuple[list[int], list[int]]:
+    """Lookup tables for the OR of ``values[i]`` over the set bits i of a pool
+    or node mask: the low ``half`` bits index the first, the rest the second."""
 
     def table(vs: list[int]) -> list[int]:
         t = [0]
         for v in vs:
-            t += [combine(m, v) for m in t]
+            t += [m | v for m in t]
         return t
 
     return table(values[:half]), table(values[half:])
@@ -202,6 +200,7 @@ class _PoolTrie:
         self.node_half = len(nodes) // 2
         self.node_low = (1 << self.node_half) - 1
         letters = range(d)
+        self.proper = [sum(pool_bit[u[:k]] for k in range(1, len(u))) for u in words]
         # over pool masks: the root and the proper prefixes of each member
         # word, and the node a member word leaves on its last letter a
         self.live = _or_tables([sum(node_bit[u[:k]] for k in range(len(u))) for u in words], self.half)
@@ -232,40 +231,42 @@ class _PoolTrie:
         """The pool masks of the class members, ascending; ``class_tag`` is
         one of :data:`CLASS_TAGS`, checked by the caller.
 
-        The Kraft, prefix and letter-permutation tests run on the mask through
-        lookup tables, and the code test is the Sardinas–Patterson closure on
-        the member index tuples.  The Kraft sum Σ d^(n−|x|) over the members
-        is at most d^n for every finite code (McMillan) and equals d^n exactly
-        when the code is complete (Schützenberger), so it drops most non-codes
-        before the closure and decides completeness on its own.  Pool word
-        i < n_nodes − 1 is trie node i + 1, so the members shorter than n, as
-        nodes, are ``(bits & short) << 1``: the mask is a prefix code iff
-        none of them is a proper prefix of a member, a live node.
+        ``all`` scans every mask.  Subsets of codes (prefix codes) are codes
+        (prefix codes), so the other classes grow members from members: each
+        S | 1<<i, for pool word i and member S so far (∅ first), lies in
+        [2^i, 2^(i+1)) and grows with S, so the list stays ascending.  It is
+        dropped if its Kraft sum Σ d^(n−|x|) tops d^n (McMillan); in the
+        prefix classes, if S holds a proper prefix of word i (all of S
+        precedes it); in the code classes, if the Sardinas–Patterson closure
+        reaches ε.  The sum d^n of the complete classes (Schützenberger) and
+        the canonical test are not hereditary: they only pick what is yielded.
         """
         words, half, d = self.words, self.half, len(self.alphabet)
         ranks = _rank_tables(self.pool, d, half) if canonicalize else None
-        kraft = _or_tables(
-            [d ** (self.n - len(u)) for u in words], half, operator.add
-        ) if class_tag != "all" else None
+        low = (1 << half) - 1
+
+        def canonical(bits: int) -> bool:
+            return ranks is None or _is_canonical(bits & low, bits >> half, ranks)
+
+        if class_tag == "all":
+            yield from filter(canonical, range(1, 2 ** len(words)))
+            return
         full = d ** self.n
         prefix = class_tag in ("prefix", "complete-prefix")
-        short = (1 << (self.n_nodes - 1)) - 1
-        live_low, live_high = self.live
-        code = class_tag in ("codes", "complete-codes")
         complete = class_tag in ("complete-codes", "complete-prefix")
-        for bits in range(1, 2 ** len(words)):
-            lo, hi = bits & ((1 << half) - 1), bits >> half
-            if kraft is not None:
-                total = kraft[0][lo] + kraft[1][hi]
-                if total > full or complete and total < full:
+        members, sums = [0], [0]
+        for i, (u, proper) in enumerate(zip(words, self.proper)):
+            bit, weight = 1 << i, d ** (self.n - len(u))
+            for j in range(len(members)):
+                bits, total = members[j] | bit, sums[j] + weight
+                if total > full or prefix and bits & proper:
                     continue
-            if prefix and (bits & short) << 1 & (live_low[lo] | live_high[hi]):
-                continue
-            if ranks is not None and not _is_canonical(lo, hi, ranks):
-                continue
-            if code and not _sardinas_patterson([u for i, u in enumerate(words) if bits >> i & 1]):
-                continue
-            yield bits
+                if not prefix and not _sardinas_patterson([w for k, w in enumerate(words) if bits >> k & 1]):
+                    continue
+                members.append(bits)
+                sums.append(total)
+                if (total == full or not complete) and canonical(bits):
+                    yield bits
 
 
 class _PoolView:
@@ -319,11 +320,10 @@ def enumerate_class_languages(
 ) -> Iterator[FiniteLanguage]:
     """All nonempty languages of size ≤ n on d letters in the class.
 
-    Enumerates subsets of the word pool A^{≤n} (ε excluded) as pool-index
-    bitmasks in ascending order; the candidate count 2^|pool| must stay under
-    the instance cap, otherwise random mode is the way out.  The class tests
-    run on the masks (:meth:`_PoolTrie.masks`), so a language is built only
-    for each member.
+    Enumerates the member subsets of the word pool A^{≤n} (ε excluded) as
+    pool-index bitmasks in ascending order; the candidate count 2^|pool| must
+    stay under the instance cap, otherwise random mode is the way out.  A
+    language is built only for each mask that :meth:`_PoolTrie.masks` yields.
     """
     trie = _class_pool(class_tag, n, d, instance_cap)
     for bits in trie.masks(class_tag, canonicalize):

@@ -314,13 +314,11 @@ def kleene_membership(language: FiniteLanguage, w: Word) -> bool:
 
 
 def is_prefix(language: FiniteLanguage) -> bool:
-    """True iff no word of X is a proper prefix of another word of X."""
-    words = sorted(language.words, key=len)
-    for i, u in enumerate(words):
-        for v in words[i + 1:]:
-            if len(u) < len(v) and v.startswith(u):
-                return False
-    return True
+    """True iff no word of X is a proper prefix of another word of X.  In lex
+    order every word between u and a word with prefix u also has prefix u, so
+    each (distinct) word is tested against its successor only."""
+    words = sorted(w.indices for w in language.words)
+    return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
 def is_code(language: FiniteLanguage) -> bool:

@@ -198,6 +198,39 @@ def enumerate_class_languages_reference(class_tag: str, n: int, d: int, canonica
             yield language
 
 
+def class_masks_reference(n: int, d: int) -> dict[tuple[str, bool], list[int]]:
+    """Reference member masks of every class, with and without
+    canonicalization, in one pass over every pool mask and with no lookup
+    table: the pairwise prefix test, the Sardinas–Patterson closure,
+    completeness by a search to ∅ on the view (not the Kraft sum) and
+    :func:`canonical_under_permutation`."""
+    from codesync.completeness import _incompletable_word
+    from codesync.errors import DEFAULT_INSTANCE_CAP
+    from codesync.experiments import CLASS_TAGS, _PoolTrie, _PoolView
+    from codesync.languages import _sardinas_patterson
+
+    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    out = {(tag, c): [] for tag in CLASS_TAGS for c in (True, False)}
+    for bits in range(1, 2 ** len(trie.words)):
+        words = [u for i, u in enumerate(trie.words) if bits >> i & 1]
+        code = _sardinas_patterson(words)
+        member = {
+            "all": True,
+            "codes": code,
+            "prefix": not any(len(u) < len(v) and v[: len(u)] == u for u in words for v in words),
+        }
+        complete = code and _incompletable_word(_PoolView(trie, bits), 2 ** 20) is None
+        member["complete-codes"] = complete
+        member["complete-prefix"] = complete and member["prefix"]
+        canonical = canonical_under_permutation(tuple(words), d)
+        for tag in CLASS_TAGS:
+            if member[tag]:
+                out[tag, False].append(bits)
+                if canonical:
+                    out[tag, True].append(bits)
+    return out
+
+
 def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tuple[dict, dict]:
     """Reference exhaustive R and C reports, as ``ExperimentReport.to_dict()``
     without ``elapsed_seconds``: the language-level searches on every member

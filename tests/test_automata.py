@@ -288,6 +288,16 @@ def test_first_return_ignores_an_unreachable_cycle():
     assert first_return_language(a).word_strings() == ["ab"]
 
 
+def test_first_return_ignores_a_cycle_that_cannot_return():
+    # state 1 loops on a and has no way back to state 0, so Y = {b} is finite
+    a = Automaton(
+        n_states=2,
+        alphabet=BINARY,
+        table=((1 << 1, 1 << 0), (1 << 1, 0)),
+    )
+    assert first_return_language(a).word_strings() == ["b"]
+
+
 def test_reverse_accepts_mirror():
     x = lang(EXAMPLE_SET)
     a = flower_automaton(x)

@@ -33,6 +33,7 @@ from codesync.experiments import (
 )
 
 from helpers import (
+    class_masks_reference,
     enumerate_class_languages_reference,
     estimate_reference,
     has_completion_brute,
@@ -174,11 +175,14 @@ def test_enumeration_canonicalization_halves_orbit():
 
 
 @pytest.mark.parametrize("canonicalize", [True, False])
-@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (3, 2)])
+@pytest.mark.parametrize("n,d", [
+    (1, 2), (2, 2), (1, 3), (2, 3), (1, 4), (3, 2),
+    (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (1, 5), (1, 6),
+])
 def test_enumeration_matches_reference(n, d, canonicalize):
-    # the bitmask filters must yield exactly the languages, in exactly the
+    # the member generator must yield exactly the languages, in exactly the
     # order, of building every candidate and testing it word by word
-    tags = ("prefix", "complete-prefix") if n == 3 else CLASS_TAGS
+    tags = ("prefix", "complete-prefix") if (n, d) == (3, 2) else CLASS_TAGS
     for tag in tags:
         got = [x.word_strings() for x in enumerate_class_languages(tag, n, d, canonicalize)]
         want = [
@@ -186,6 +190,36 @@ def test_enumeration_matches_reference(n, d, canonicalize):
             for x in enumerate_class_languages_reference(tag, n, d, canonicalize)
         ]
         assert got == want, (tag, n, d, canonicalize)
+
+
+def test_class_masks_match_the_table_free_reference():
+    # every class at (3, 2), with and without canonicalization, against one
+    # plain pass over all 2^14 pool masks
+    trie = _PoolTrie(3, 2, DEFAULT_INSTANCE_CAP)
+    want = class_masks_reference(3, 2)
+    for (tag, canonicalize), masks in want.items():
+        assert list(trie.masks(tag, canonicalize)) == masks, (tag, canonicalize)
+    assert len(want["codes", False]) == 1033 and len(want["complete-codes", False]) == 49
+
+
+def test_code_masks_grow_only_from_members(monkeypatch):
+    # only a candidate S | 1<<i with S a code and a Kraft sum ≤ d^n reaches
+    # the closure (the 2^p scan ran it 3,005 times); prefix classes never do
+    calls = []
+
+    def counted(words):
+        calls.append(len(words))
+        return _sardinas_patterson(words)
+
+    monkeypatch.setattr(experiments, "_sardinas_patterson", counted)
+    trie = _PoolTrie(3, 2, DEFAULT_INSTANCE_CAP)
+    assert len(list(trie.masks("codes", False))) == 1033
+    assert len(calls) <= 1725
+    calls.clear()
+    for tag in ("prefix", "complete-prefix"):
+        for canonicalize in (True, False):
+            list(trie.masks(tag, canonicalize))
+    assert calls == []
 
 
 def test_enumeration_keeps_the_argument_names_the_benchmark_binds():

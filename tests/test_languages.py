@@ -139,6 +139,29 @@ def test_is_prefix_examples():
     assert is_prefix(only_epsilon)  # vacuous, degenerate
 
 
+def is_prefix_pairwise(x: FiniteLanguage) -> bool:
+    return not any(
+        len(u) < len(v) and v.indices[: len(u)] == u.indices for u in x.words for v in x.words
+    )
+
+
+def test_is_prefix_matches_the_pairwise_definition():
+    cases = list(exhaustive_corpus()) + random_language_sample(515, 300, 4)
+    cases += random_language_sample(516, 200, 3, d=3)
+    answers = [is_prefix(x) for x in cases]
+    assert answers == [is_prefix_pairwise(x) for x in cases]
+    assert 100 < sum(answers) < len(cases) - 100
+
+
+def test_is_prefix_compares_tokens_not_text():
+    # "a" is a text prefix of "a'" but not a token prefix, so {a, a'} is a
+    # prefix code; a token prefix still counts whichever token follows it
+    alpha = Alphabet.of("a", "a'")
+    assert is_prefix(FiniteLanguage(alpha, (Word.parse("a", alpha), Word.parse("a'", alpha))))
+    assert not is_prefix(FiniteLanguage(alpha, (Word.parse("a'", alpha), Word.parse("a'a", alpha))))
+    assert not is_prefix(FiniteLanguage(alpha, (Word.parse("a", alpha), Word.parse("aa'", alpha))))
+
+
 def test_is_code_examples():
     assert not is_code(lang(["a", "ab", "ba"]))  # aba = a·ba = ab·a
     assert is_code(lang(["b", "ba", "aa"]))
