@@ -19,7 +19,7 @@ from .automata import (
     subset_bfs,
 )
 from .errors import InternalInvariantError, DEFAULT_SUBSET_CAP
-from .languages import FiniteLanguage, Word, kleene_membership
+from .languages import FiniteLanguage, Word, is_code, kleene_membership
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,17 @@ def _incompletable_word(automaton: Automaton, cap: int) -> Optional[Word]:
 
 
 def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+    """True iff every word is completable in X.
+
+    An ε-free code is decided by Schützenberger's theorem (Berstel–Perrin–
+    Reutenauer, *Codes and Automata*): a finite code is complete iff its Kraft
+    sum Σ d^−|x| is 1, tested in integers as Σ d^(ℓ−|x|) = d^ℓ, with no search
+    and no cap.  Any other set is decided by the search for an incompletable
+    word, which its Kraft sum does not replace.
+    """
+    if not language.contains_epsilon and is_code(language):
+        d, top = len(language.alphabet), language.size
+        return sum(d ** (top - len(x)) for x in language.words) == d ** top
     return shortest_incompletable(language, cap) is None
 
 

@@ -34,6 +34,7 @@ from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import (
     _code_sync_pair,
     _code_synchronizes,
+    _one_sided_pair,
     is_synchronizing_code,
     is_synchronizing_dfa,
     shortest_sync_pair,
@@ -240,6 +241,9 @@ class _PoolTrie:
         precedes it); in the code classes, if the Sardinas–Patterson closure
         reaches ε.  The sum d^n of the complete classes (Schützenberger) and
         the canonical test are not hereditary: they only pick what is yielded.
+        A complete class also drops a candidate whose sum stays below d^n with
+        every later pool word added, since all it grows into does too; this
+        test runs before the closure.
         """
         words, half, d = self.words, self.half, len(self.alphabet)
         ranks = _rank_tables(self.pool, d, half) if canonicalize else None
@@ -254,12 +258,15 @@ class _PoolTrie:
         full = d ** self.n
         prefix = class_tag in ("prefix", "complete-prefix")
         complete = class_tag in ("complete-codes", "complete-prefix")
+        weights = [d ** (self.n - len(u)) for u in words]
+        later = sum(weights)  # the weight of the pool words after word i
         members, sums = [0], [0]
-        for i, (u, proper) in enumerate(zip(words, self.proper)):
-            bit, weight = 1 << i, d ** (self.n - len(u))
+        for i, (weight, proper) in enumerate(zip(weights, self.proper)):
+            bit = 1 << i
+            later -= weight
             for j in range(len(members)):
                 bits, total = members[j] | bit, sums[j] + weight
-                if total > full or prefix and bits & proper:
+                if total > full or complete and total + later < full or prefix and bits & proper:
                     continue
                 if not prefix and not _sardinas_patterson([w for k, w in enumerate(words) if bits >> k & 1]):
                     continue
@@ -381,7 +388,7 @@ def _random_complete_instance(
     words = tuple(Word(x.alphabet, tuple(perm[i] for i in w.indices)) for w in x.words)
     x = FiniteLanguage(x.alphabet, words)
     if allow_reverse and rng.random() < 0.5:
-        x = FiniteLanguage(x.alphabet, tuple(w.reversed() for w in x.words))
+        x = x.reversed()
     return x
 
 
@@ -552,7 +559,9 @@ def estimate_C(
     Exhaustive mode tests each member of a code class on a view of the pool
     trie and builds a language only when the maximum grows, checking the pair
     again on its flower automaton; ``all`` members, which need not be codes,
-    get the language-level search.
+    get the language-level search.  A complete prefix code synchronizes iff
+    one unbudgeted reset-to-root search reaches {1}, and that search also
+    gives its minimal pair (:func:`~codesync.synchrony._one_sided_pair`).
     """
     if budget < 0:
         raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
@@ -563,6 +572,11 @@ def estimate_C(
     def evaluate(automaton, build):
         if class_tag == "all":
             return found(shortest_sync_pair(build(), budget, cap))
+        if class_tag == "complete-prefix":
+            pair = _one_sided_pair(automaton, False, None, cap)
+            if pair is None:
+                return None
+            return _INCONCLUSIVE if pair.total_length > budget else found(pair)
         if not _code_synchronizes(automaton, cap):
             return None
         return found(_code_sync_pair(automaton, budget, cap))
@@ -605,9 +619,7 @@ def random_complete_sync_codes(
             continue
         language = first_return_language(colored)
         if len(out) % 2 == 1:
-            language = FiniteLanguage(
-                language.alphabet, tuple(w.reversed() for w in language.words)
-            )
+            language = language.reversed()
         if not is_code(language):
             continue
         if not is_complete_language(language, cap):

@@ -219,6 +219,10 @@ class FiniteLanguage:
     def word_strings(self) -> list[str]:
         return [w.text for w in self.words]
 
+    def reversed(self) -> "FiniteLanguage":
+        """The mirror image: every word reversed."""
+        return FiniteLanguage(self.alphabet, tuple(w.reversed() for w in self.words))
+
     def __repr__(self) -> str:
         return f"FiniteLanguage({{{', '.join(self.word_strings())}}})"
 

@@ -10,7 +10,9 @@ Two checkers certify a pair (u, v) ∈ X* × X*:
   δ(1, v) ∩ T ≠ ∅.
 
 Both subset families are finite, computed once per language and memoized on
-it, since pair testing is the hot path of the exact search.
+it, since pair testing is the hot path of the exact search.  Complete prefix
+and suffix codes skip both: their minimal pair is one-sided and comes from a
+single reset-to-root search (:func:`_one_sided_pair`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import (
     SubsetCapExceeded,
     DEFAULT_SUBSET_CAP,
 )
-from .languages import Alphabet, FiniteLanguage, Word, is_code, kleene_membership
+from .completeness import is_complete_language
+from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix, kleene_membership
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,15 @@ def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CA
 
     X is a synchronizing code iff some words w₁, w₂ over the alphabet satisfy
     Qw₁ ∩ Qw₂⁻¹ = {1} on its (unambiguous) flower automaton; both subset
-    families are finite, so this is a complete decision procedure.
+    families are finite, so this is a complete decision procedure.  A
+    complete prefix (suffix) code synchronizes iff the unbudgeted search of
+    :func:`_one_sided_pair` reaches {1}.
     """
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
+    one_sided = _one_sided_flower(language, cap)
+    if one_sided is not None:
+        return _one_sided_pair(*one_sided, None, cap) is not None
     return _code_synchronizes(flower_automaton(language), cap, partial(_family, language, True, cap=cap))
 
 
@@ -303,14 +311,18 @@ def shortest_sync_pair(
     ``where(u, v)`` optionally filters acceptable pairs.  A filter disables
     the subset-representative compression of the code path, because distinct
     words with equal subset dynamics are interchangeable for the pair test
-    but not for an arbitrary predicate.
+    but not for an arbitrary predicate.  Without a filter, a complete prefix
+    or suffix code takes :func:`_one_sided_pair`, which gives the same pair.
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
     code = is_code(language)
-    automaton = flower_automaton(language)
     if code and where is None:
-        return _code_sync_pair(automaton, budget, cap)
+        one_sided = _one_sided_flower(language, cap)
+        if one_sided is not None:
+            return _one_sided_pair(*one_sided, budget, cap)
+        return _code_sync_pair(flower_automaton(language), budget, cap)
+    automaton = flower_automaton(language)
     checker = (
         partial(_code_pair_check, automaton)
         if code
@@ -348,6 +360,54 @@ def _code_sync_pair(automaton: Automaton, budget: int, cap: int) -> Optional[Syn
             for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
                 if mu & mv == init:
                     return SyncPair(Word(automaton.alphabet, wu), Word(automaton.alphabet, wv), "code")
+    return None
+
+
+def _one_sided_flower(language: FiniteLanguage, cap: int) -> Optional[tuple[Automaton, bool]]:
+    """For a code X that is complete and prefix, its flower automaton and
+    False; complete and suffix only, the flower of its mirror image and True;
+    otherwise None.  X must be an ε-free code, so completeness is its Kraft sum.
+    """
+    if not is_complete_language(language, cap):
+        return None
+    if is_prefix(language):
+        return flower_automaton(language), False
+    mirror = language.reversed()
+    return (flower_automaton(mirror), True) if is_prefix(mirror) else None
+
+
+def _one_sided_pair(
+    automaton: Automaton, mirror: bool, budget: Optional[int], cap: int
+) -> Optional[SyncPair]:
+    """The minimal pair (u, ε) of a complete prefix code, with u the (length,
+    lex)-least word such that δ(Q, u) = {1}, on its flower automaton or on any
+    object with the same kernel interface; None when no such u has |u| ≤
+    ``budget``, or with no budget when X does not synchronize.
+
+    The flower of a complete prefix code is a complete deterministic automaton,
+    so Qv⁻¹ = Q for every v and (u, v) synchronizes iff Qu = {1}, which also
+    puts u in X*: the least pair under (|uv|, |u|, lex u, lex v) has v = ε.
+    (Biskup–Plandowski, "Shortest synchronizing strings for Huffman codes",
+    TCS 2009, study the length of this u.)  With ``mirror`` the automaton is the flower of the mirror image of a
+    complete suffix code X, and the answer is (ε, v): (u, v) synchronizes X iff
+    (v̄, ū) synchronizes the mirror, so v is the (length, lex)-least mirror
+    image of such a word.  Its key grows by prepending letters, which keeps
+    the lex order of keys, so the layered search stays exact.
+    """
+    init = 1 << automaton.initial
+    step = automaton.step_letter
+    letters = range(len(automaton.alphabet))
+
+    def expand(mask, word):
+        for a in letters:
+            yield step(mask, a), ((a,) + word if mirror else word + (a,))
+
+    lengths = itertools.count() if budget is None else range(budget + 1)
+    levels = layered_search(automaton.full_mask, (), expand, cap=cap, what="reset-to-root search")
+    for _, level in zip(lengths, levels):  # zip stops before a level beyond the budget
+        if init in level:
+            w, empty = Word(automaton.alphabet, level[init]), Word.epsilon(automaton.alphabet)
+            return SyncPair(empty, w) if mirror else SyncPair(w, empty)
     return None
 
 

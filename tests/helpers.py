@@ -37,6 +37,19 @@ def swap_letters(language: FiniteLanguage) -> FiniteLanguage:
 EXAMPLE_SET = ("aa", "ab", "ba", "baa", "bbb")  # the running incomplete example
 EXAMPLE_PREFIX = ("a", "baaa", "baab", "bab", "bb")  # the complete prefix example
 
+# every (n, d) with n·d ≤ 6
+SMALL_SIZES = tuple((n, d) for d in range(1, 7) for n in range(1, 6 // d + 1))
+
+
+def small_class_languages(class_tag: str) -> list[FiniteLanguage]:
+    """Every member of the class at the sizes :data:`SMALL_SIZES`, without
+    canonicalization."""
+    from codesync.experiments import enumerate_class_languages
+
+    return [
+        x for n, d in SMALL_SIZES for x in enumerate_class_languages(class_tag, n, d, canonicalize=False)
+    ]
+
 
 @lru_cache(maxsize=1)
 def exhaustive_corpus() -> tuple[FiniteLanguage, ...]:
@@ -149,7 +162,7 @@ def random_complete_code(rng: random.Random, d: int, max_depth: int) -> FiniteLa
     words = tuple(Word(x.alphabet, tuple(perm[i] for i in u.indices)) for u in x.words)
     x = FiniteLanguage(x.alphabet, words)
     if rng.random() < 0.5:
-        x = FiniteLanguage(x.alphabet, tuple(u.reversed() for u in x.words))
+        x = x.reversed()
     return x
 
 

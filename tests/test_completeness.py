@@ -2,19 +2,26 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from codesync import (
     Alphabet,
+    EpsilonNotAllowed,
+    FiniteLanguage,
+    SubsetCapExceeded,
     Word,
     brute_force_incompletable,
     find_completion,
     flower_automaton,
+    is_code,
     is_complete_language,
     kleene_membership,
     left_star_completion,
     shortest_incompletable,
     step_forward,
 )
-from codesync.completeness import _state_words
+from codesync.completeness import _incompletable_word, _state_words
+from codesync.errors import DEFAULT_SUBSET_CAP
 
 from helpers import (
     BINARY,
@@ -27,6 +34,7 @@ from helpers import (
     lang,
     left_star_completion_reference,
     random_language_sample,
+    small_class_languages,
     w,
 )
 
@@ -204,3 +212,30 @@ def test_random_witnesses_verify_against_definitional_checker():
             assert not has_completion_brute(x, word)
             shorter = brute_force_incompletable(x, len(word) - 1) if len(word) > 1 else None
             assert shorter is None
+
+
+def test_kraft_completeness_of_codes_matches_the_search():
+    # a finite code is complete iff its Kraft sum is 1 (Schützenberger), so
+    # codes never search: cap=1 would stop any search at its second subset
+    codes = small_class_languages("codes")
+    complete = 0
+    for x in codes:
+        searched = _incompletable_word(flower_automaton(x), DEFAULT_SUBSET_CAP) is None
+        assert is_complete_language(x, cap=1) == searched, x.word_strings()
+        complete += searched
+    assert (len(codes), complete) == (2139, 95)
+    assert not is_complete_language(FiniteLanguage(BINARY, ()))  # ∅ is an incomplete code
+
+
+def test_non_codes_and_epsilon_languages_still_search():
+    # {a, aa, ab} has Kraft sum 1 but is no code, and bb is incompletable
+    kraft_one = lang(["a", "aa", "ab"])
+    assert not is_code(kraft_one) and not is_complete_language(kraft_one)
+    assert shortest_incompletable(kraft_one).text == "bb"
+    complete_non_code = lang(["a", "b", "ab"])
+    assert not is_code(complete_non_code) and is_complete_language(complete_non_code)
+    for x in (kraft_one, complete_non_code):
+        with pytest.raises(SubsetCapExceeded):
+            is_complete_language(x, cap=1)
+    with pytest.raises(EpsilonNotAllowed):
+        is_complete_language(lang(["ε", "a", "b"]))

@@ -220,6 +220,10 @@ def test_code_masks_grow_only_from_members(monkeypatch):
         for canonicalize in (True, False):
             list(trie.masks(tag, canonicalize))
     assert calls == []
+    # a complete class drops, before the closure, every candidate whose sum
+    # stays below d^n with all later pool words added (1,725 closures without)
+    assert len(list(trie.masks("complete-codes", False))) == 49
+    assert len(calls) <= 811
 
 
 def test_enumeration_keeps_the_argument_names_the_benchmark_binds():
@@ -370,6 +374,24 @@ SWEEP_REPORTS = {
     ("R", "codes"): (11, ["aaa", "aab", "aba", "abb", "baa", "bab", "bbb"], ["bbaabbaabba"], 503, 0),
     ("R", "complete-codes"): (None, None, None, 0, 0),
 }
+
+
+# complete-prefix C sweeps with budgets below some pair lengths: (value,
+# witness language, witness, instances, inconclusive), as the two-sided
+# representative search gave them before the one-sided search replaced it
+SHORT_BUDGET_REPORTS = {
+    ("exhaustive", 3): (3, ["aa", "ab", "bb", "baa", "bab"], ["baa", "ε"], 7, 6),
+    ("exhaustive", 5): (4, ["aa", "bb", "aba", "abb", "baa", "bab"], ["aabb", "ε"], 12, 1),
+    ("random", 4): (4, ["aa", "ab", "ba", "bba", "bbba", "bbbb"], ["abba", "ε"], 29, 6),
+}
+
+
+@pytest.mark.parametrize("mode,budget", list(SHORT_BUDGET_REPORTS))
+def test_complete_prefix_sweep_counts_long_pairs_as_inconclusive(mode, budget):
+    n = 3 if mode == "exhaustive" else 4
+    report = estimate_C("complete-prefix", n, 2, mode=mode, samples=40, seed=3, budget=budget).to_dict()
+    got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
+    assert got == SHORT_BUDGET_REPORTS[mode, budget]
 
 
 @pytest.mark.parametrize("kind,tag", list(SWEEP_REPORTS))

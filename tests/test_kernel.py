@@ -61,6 +61,9 @@ def test_kernel_backward_steps_match_the_reversed_automaton():
     assert subset_bfs(a, init, back=True) == subset_bfs(reverse(a), init)
 
 
+INCOMPLETE_PREFIX = ("aa", "ab", "ba")
+
+
 def _prefix_aprime():
     x = lang(EXAMPLE_PREFIX)
     return build_aprime(flower_automaton(x), w("aaa"))
@@ -76,10 +79,14 @@ def _prefix_aprime():
          "reset-word search"),
         (lambda: shortest_incompletable_min_marked(_prefix_aprime(), "a'", cap=1),
          "marked incompletable search"),
-        (lambda: is_synchronizing_code(cerny_family(4), cap=1), "subset family closure"),
+        # an incomplete prefix code: complete prefix and suffix codes take the
+        # reset-to-root search instead of the families and the enumeration
+        (lambda: is_synchronizing_code(lang(INCOMPLETE_PREFIX), cap=1), "subset family closure"),
         (lambda: is_sync_pair(lang(EXAMPLE_SET), w("ab"), w("ba"), method="general", cap=1),
          "subset family closure"),
-        (lambda: shortest_sync_pair(cerny_family(4), 9, cap=1), "sync-pair forward enumeration"),
+        (lambda: shortest_sync_pair(lang(INCOMPLETE_PREFIX), 9, cap=1),
+         "sync-pair forward enumeration"),
+        (lambda: shortest_sync_pair(cerny_family(4), 9, cap=1), "reset-to-root search"),
         # the pair search finishes each forward level first, so a cap small
         # enough to stop the backward side stops the forward side before it
         (lambda: list(_star_reps(flower_automaton(cerny_family(4)), 1, back=True)),

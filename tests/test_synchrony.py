@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from codesync import (
@@ -21,6 +23,8 @@ from codesync import (
     sync_word_shortest,
 )
 from codesync.automata import Automaton
+from codesync.errors import DEFAULT_SUBSET_CAP
+from codesync.synchrony import _code_sync_pair, _one_sided_flower, _one_sided_pair
 
 from helpers import (
     BINARY,
@@ -29,6 +33,7 @@ from helpers import (
     exhaustive_corpus,
     lang,
     shortest_sync_pair_eager,
+    small_class_languages,
     swap_letters,
     w,
 )
@@ -292,3 +297,47 @@ def test_checker_agreement_spot():
         assert _code_pair_check(automaton, u, v) == _general_pair_check(
             automaton, fwd, bwd, u, v
         )
+
+
+def test_one_sided_pairs_match_the_code_path_search():
+    # a complete prefix (suffix) code has the minimal pair (u, ε) ((ε, v)) of
+    # one reset-to-root search; the two-sided representative search must give
+    # the same pair at its length and none one below it.  X_8's two-sided
+    # search below its length alone takes about 0.5 s, so X_8 skips that one.
+    cap = DEFAULT_SUBSET_CAP
+    cases = [(x, True) for x in small_class_languages("complete-codes") if _one_sided_flower(x, cap)]
+    small = len(cases)
+    cases += [(cerny_family(n), n < 8) for n in range(3, 9)]
+    cases += [(cerny_family(n).reversed(), True) for n in range(3, 8)]
+    mirrored = silent = 0
+    for x, below in cases:
+        automaton, mirror = _one_sided_flower(x, cap)
+        pair = _one_sided_pair(automaton, mirror, None, cap)
+        length = 12 if pair is None else pair.total_length
+        for budget in (length - 1, length) if below else (length,):
+            got = shortest_sync_pair(x, budget)
+            assert got == _code_sync_pair(flower_automaton(x), budget, cap), (x.word_strings(), budget)
+            assert got == (pair if budget == length else None)
+        mirrored += mirror
+        silent += pair is None
+    assert (small, mirrored, silent) == (93, 35, 19)
+
+
+# taken from the two-sided representative search, before the one-sided
+# search existed; it is a·(b a⁸)⁷, and X_10's pair below has the same shape
+CERNY_9_PAIR = "abaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaa"
+
+
+def test_cerny_nine_pair_is_pinned():
+    x = cerny_family(9)
+    pair = shortest_sync_pair(x, 64)
+    assert (pair.u.text, pair.v.text, pair.checked_by) == (CERNY_9_PAIR, "ε", "code")
+    assert is_sync_pair(x, pair.u, pair.v, method="code")
+
+
+@pytest.mark.skipif(not os.environ.get("CODESYNC_SLOW"), reason="about 2 s; set CODESYNC_SLOW=1")
+def test_cerny_ten_pair_is_pinned():
+    x = cerny_family(10)
+    pair = shortest_sync_pair(x, 81)
+    assert (pair.u.text, pair.v.text) == ("a" + ("b" + "a" * 9) * 8, "ε")
+    assert is_sync_pair(x, pair.u, pair.v, method="code")
