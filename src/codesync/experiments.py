@@ -33,7 +33,6 @@ from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_c
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import (
     _code_sync_pair,
-    _code_synchronizes,
     _one_sided_pair,
     is_synchronizing_code,
     is_synchronizing_dfa,
@@ -559,9 +558,11 @@ def estimate_C(
     Exhaustive mode tests each member of a code class on a view of the pool
     trie and builds a language only when the maximum grows, checking the pair
     again on its flower automaton; ``all`` members, which need not be codes,
-    get the language-level search.  A complete prefix code synchronizes iff
-    one unbudgeted reset-to-root search reaches {1}, and that search also
-    gives its minimal pair (:func:`~codesync.synchrony._one_sided_pair`).
+    get the language-level search.  A code synchronizes iff it has a pair, so
+    one unbudgeted least-pair search decides it and gives the pair: the
+    reset-to-root search (:func:`~codesync.synchrony._one_sided_pair`) for a
+    complete prefix code, the X*-representative search
+    (:func:`~codesync.synchrony._code_sync_pair`) for every other code.
     """
     if budget < 0:
         raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
@@ -574,12 +575,11 @@ def estimate_C(
             return found(shortest_sync_pair(build(), budget, cap))
         if class_tag == "complete-prefix":
             pair = _one_sided_pair(automaton, False, None, cap)
-            if pair is None:
-                return None
-            return _INCONCLUSIVE if pair.total_length > budget else found(pair)
-        if not _code_synchronizes(automaton, cap):
+        else:
+            pair = _code_sync_pair(automaton, None, cap)
+        if pair is None:
             return None
-        return found(_code_sync_pair(automaton, budget, cap))
+        return _INCONCLUSIVE if pair.total_length > budget else found(pair)
 
     return _sweep(
         "C", class_tag, n, d, mode, samples, seed, instance_cap, cap,

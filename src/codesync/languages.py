@@ -333,13 +333,16 @@ def is_code(language: FiniteLanguage) -> bool:
     suffix s to x⁻¹s and s⁻¹x for x ∈ X; X is a code iff ε is never reached.
     Raises :class:`EpsilonNotAllowed` when ε ∈ X: the empty word makes every
     factorization ambiguous, so it is rejected as an invalid code candidate
-    rather than reported as merely "not a code".
+    rather than reported as merely "not a code".  A prefix code is a code,
+    so :func:`is_prefix` answers first, without the closure.
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("ε ∈ X is not a valid code candidate")
     code = language._memo.get("code")
     if code is None:
-        code = language._memo["code"] = _sardinas_patterson([x.indices for x in language.words])
+        code = language._memo["code"] = is_prefix(language) or _sardinas_patterson(
+            [x.indices for x in language.words]
+        )
     return code
 
 

@@ -9,10 +9,12 @@ Two checkers certify a pair (u, v) ∈ X* × X*:
   completion context splits:  δ(S, uv) ∩ T ≠ ∅ implies 1 ∈ δ(S, u) and
   δ(1, v) ∩ T ≠ ∅.
 
-Both subset families are finite, computed once per language and memoized on
-it, since pair testing is the hot path of the exact search.  Complete prefix
-and suffix codes skip both: their minimal pair is one-sided and comes from a
-single reset-to-root search (:func:`_one_sided_pair`).
+Both subset families of the general path are finite, computed once per
+language and memoized on it, since pair testing is the hot path of the exact
+search.  A code synchronizes iff it has a pair, so the least-pair search run
+without a budget is also the synchronization test (:func:`_least_code_pair`);
+for complete prefix and suffix codes it is one reset-to-root search
+(:func:`_one_sided_pair`).
 """
 
 from __future__ import annotations
@@ -56,20 +58,17 @@ class SyncPair:
         return len(self.u) + len(self.v)
 
 
-def _closure(automaton: Automaton, full: bool, back: bool, cap: int) -> tuple[int, ...]:
-    """The nonempty subsets δ(S, w) (δ(S, w⁻¹) when ``back``) over all words w,
-    from S = Q when ``full`` and S = {1} otherwise."""
-    start = automaton.full_mask if full else 1 << automaton.initial
-    order, _ = subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")
-    return tuple(order)
-
-
-def _family(language: FiniteLanguage, full: bool, back: bool, cap: int) -> tuple[int, ...]:
-    """:func:`_closure` on the flower automaton, memoized on the language."""
-    key = ("family", full, back)
+def _family(language: FiniteLanguage, back: bool, cap: int) -> tuple[int, ...]:
+    """The nonempty subsets δ(1, w) (δ(1, w⁻¹) when ``back``) over all words w
+    on the flower automaton, memoized on the language."""
+    key = ("family", back)
     family = language._memo.get(key)
     if family is None:
-        family = language._memo[key] = _closure(flower_automaton(language), full, back, cap)
+        automaton = flower_automaton(language)
+        order, _ = subset_bfs(
+            automaton, 1 << automaton.initial, back=back, cap=cap, what="subset family closure"
+        )
+        family = language._memo[key] = tuple(order)
     elif len(family) > cap:
         raise SubsetCapExceeded(cap, "subset family closure")
     return family
@@ -80,8 +79,8 @@ def _context_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tu
     general checker and the constant test."""
     return (
         flower_automaton(language),
-        _family(language, False, False, cap),
-        _family(language, False, True, cap),
+        _family(language, False, cap),
+        _family(language, True, cap),
     )
 
 
@@ -146,37 +145,14 @@ def is_sync_pair(
 
 
 def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
-    """Exact synchronization test for codes.
-
-    X is a synchronizing code iff some words w₁, w₂ over the alphabet satisfy
-    Qw₁ ∩ Qw₂⁻¹ = {1} on its (unambiguous) flower automaton; both subset
-    families are finite, so this is a complete decision procedure.  A
-    complete prefix (suffix) code synchronizes iff the unbudgeted search of
-    :func:`_one_sided_pair` reaches {1}.
+    """Exact synchronization test for codes: X synchronizes iff it has a
+    synchronizing pair, so the least-pair search of :func:`_least_code_pair`
+    with no budget, which ends once its finite subset spaces are used up,
+    decides it.
     """
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    one_sided = _one_sided_flower(language, cap)
-    if one_sided is not None:
-        return _one_sided_pair(*one_sided, None, cap) is not None
-    return _code_synchronizes(flower_automaton(language), cap, partial(_family, language, True, cap=cap))
-
-
-def _code_synchronizes(automaton: Automaton, cap: int, family=None) -> bool:
-    """The test of :func:`is_synchronizing_code` on the flower automaton of a
-    code, or on any object with the same kernel interface.
-
-    ``family(back)`` gives the subsets δ(Q, w) (δ(Q, w⁻¹) when ``back``); by
-    default they are searched afresh on ``automaton``.
-    """
-    if family is None:
-        family = partial(_closure, automaton, True, cap=cap)
-    init = 1 << automaton.initial
-    bwd_set = set(family(True))
-    for s in family(False):
-        if s & init and any(s & t == init for t in bwd_set):
-            return True
-    return False
+    return _least_code_pair(language, None, cap) is not None
 
 
 def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -311,17 +287,14 @@ def shortest_sync_pair(
     ``where(u, v)`` optionally filters acceptable pairs.  A filter disables
     the subset-representative compression of the code path, because distinct
     words with equal subset dynamics are interchangeable for the pair test
-    but not for an arbitrary predicate.  Without a filter, a complete prefix
-    or suffix code takes :func:`_one_sided_pair`, which gives the same pair.
+    but not for an arbitrary predicate.  Without a filter, a code takes
+    :func:`_least_code_pair`, which gives the same pair.
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
     code = is_code(language)
     if code and where is None:
-        one_sided = _one_sided_flower(language, cap)
-        if one_sided is not None:
-            return _one_sided_pair(*one_sided, budget, cap)
-        return _code_sync_pair(flower_automaton(language), budget, cap)
+        return _least_code_pair(language, budget, cap)
     automaton = flower_automaton(language)
     checker = (
         partial(_code_pair_check, automaton)
@@ -344,22 +317,44 @@ def shortest_sync_pair(
     return None
 
 
-def _code_sync_pair(automaton: Automaton, budget: int, cap: int) -> Optional[SyncPair]:
+def _least_code_pair(language: FiniteLanguage, budget: Optional[int], cap: int) -> Optional[SyncPair]:
+    """The least pair under (|uv|, |u|, lex u, lex v) of an ε-free code X with
+    |uv| ≤ ``budget``, or with no budget the least pair of all, None when X
+    does not synchronize: :func:`_one_sided_pair` for a complete prefix or
+    suffix code, :func:`_code_sync_pair` on the flower otherwise.
+    """
+    one_sided = _one_sided_flower(language, cap)
+    if one_sided is None:
+        return _code_sync_pair(flower_automaton(language), budget, cap)
+    return _one_sided_pair(*one_sided, budget, cap)
+
+
+def _code_sync_pair(automaton: Automaton, budget: Optional[int], cap: int) -> Optional[SyncPair]:
     """The code-path search of :func:`shortest_sync_pair` on the flower
     automaton of a code, or on any object with the same kernel interface:
     minimal X*-representatives paired by total length, then (|u|, lex u, lex v).
+
+    Returns None when no pair has |uv| ≤ ``budget``, or with no budget when
+    X does not synchronize.  Both representative searches are finite: once
+    they have ended after E_u and E_v levels, every pairing has total length
+    at most E_u + E_v − 2, so the search stops there whatever the budget.
     """
     init = 1 << automaton.initial
-    fwd_reps = _star_reps(automaton, cap, back=False)
-    bwd_reps = _star_reps(automaton, cap, back=True)
+    searches = (_star_reps(automaton, cap, back=False), _star_reps(automaton, cap, back=True))
     fwd, bwd = [], []  # representatives by length
-    for total in range(budget + 1):
-        fwd.append(next(fwd_reps, []))
-        bwd.append(next(bwd_reps, []))
+    ends = [None, None]  # the level count of each search once it has ended
+    for total in itertools.count() if budget is None else range(budget + 1):
+        for side, reps in enumerate((fwd, bwd)):
+            level = next(searches[side], None)
+            if level is None and ends[side] is None:
+                ends[side] = total
+            reps.append(level or [])
         for lu in range(total + 1):
             for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
                 if mu & mv == init:
                     return SyncPair(Word(automaton.alphabet, wu), Word(automaton.alphabet, wv), "code")
+        if None not in ends and total >= ends[0] + ends[1] - 2:
+            return None
     return None
 
 

@@ -248,7 +248,7 @@ def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tupl
     """Reference exhaustive R and C reports, as ``ExperimentReport.to_dict()``
     without ``elapsed_seconds``: the language-level searches on every member
     of :func:`enumerate_class_languages_reference`, in its order."""
-    from codesync import is_synchronizing_code, shortest_incompletable, shortest_sync_pair
+    from codesync import shortest_incompletable, shortest_sync_pair
 
     best = {"R": None, "C": None}  # (value, witness language, witness)
     counts = {"R": 0, "C": 0}
@@ -258,7 +258,7 @@ def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tupl
         incompletable = shortest_incompletable(x)
         if incompletable is not None:
             found["R"] = (len(incompletable), [incompletable.text])
-        if class_tag == "all" or is_synchronizing_code(x):
+        if class_tag == "all" or synchronizes_reference(x):
             pair = shortest_sync_pair(x, budget)
             if pair is None:
                 inconclusive += 1
@@ -361,6 +361,44 @@ def flower_reference(language: FiniteLanguage):
         for a in range(d)
     )
     return tuple(table), labels, letter_rows, rev_rows
+
+
+def synchronizes_reference(language: FiniteLanguage) -> bool:
+    """Reference synchronization test for an ε-free code X, apart from the
+    package's automata and searches: X synchronizes iff some words w₁, w₂
+    over the alphabet give Qw₁ ∩ Qw₂⁻¹ = {1} on its flower, whose states are
+    1 (bit 0) and the proper prefixes of X.  Both subset families are closed
+    from Q."""
+    d = len(language.alphabet)
+    words = {x.indices for x in language.words}
+    states = [()] + sorted({x[:k] for x in words for k in range(1, len(x))})
+    index = {p: i for i, p in enumerate(states)}
+    fwd = [[0] * d for _ in states]  # fwd[q][a]: successors of q under a
+    bwd = [[0] * d for _ in states]  # bwd[q][a]: predecessors of q under a
+    for p, q in index.items():
+        for a in range(d):
+            pa = p + (a,)
+            for r in ([0] if pa in words else []) + ([index[pa]] if pa in index else []):
+                fwd[q][a] |= 1 << r
+                bwd[r][a] |= 1 << q
+
+    def family(rows) -> set[int]:
+        full = (1 << len(states)) - 1
+        seen, todo = {full}, [full]
+        while todo:
+            s = todo.pop()
+            for a in range(d):
+                t = 0
+                for q, row in enumerate(rows):
+                    if s >> q & 1:
+                        t |= row[a]
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    backward = family(bwd)
+    return any(s & t == 1 for s in family(fwd) if s & 1 for t in backward)
 
 
 def strongly_connected_reference(table) -> bool:

@@ -80,6 +80,16 @@ def test_syncpair_budget_miss(capsys, example_file):
     assert data["pair"] is None
 
 
+def test_syncpair_stops_when_no_pair_is_left(capsys, tmp_path):
+    # {abab} does not synchronize; the search must end once every pairing is
+    # tried rather than run on to the budget
+    p = tmp_path / "abab.lang"
+    p.write_text("abab\n")
+    code, data = run_json(capsys, ["syncpair", str(p), "--budget", "20000", "--json"])
+    assert code == 1
+    assert data == {"pair": None, "budget": 20000}
+
+
 def test_reduce_with_trace(capsys, prefix_file, tmp_path):
     trace_path = tmp_path / "trace.json"
     code, data = run_json(

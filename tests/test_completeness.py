@@ -239,3 +239,22 @@ def test_non_codes_and_epsilon_languages_still_search():
             is_complete_language(x, cap=1)
     with pytest.raises(EpsilonNotAllowed):
         is_complete_language(lang(["ε", "a", "b"]))
+
+
+@pytest.mark.parametrize("n, d", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)])
+def test_full_block_minus_one_word_needs_quadratic_witnesses(n, d):
+    # over all w ∈ A^n, the longest shortest incompletable word of A^n ∖ {w}
+    # has length n² + n − 1; the first w reaching it in lex order is a^{n−1}b,
+    # with the witness a^{n−1}b (a^n b)^{n−1}.  (At n = 1 every w ties.)
+    alphabet = Alphabet.lowercase(d)
+    block = list(itertools.product(range(d), repeat=n))
+    best = None  # (length, w, witness), the first maximizer in lex order
+    for missing in block:
+        x = FiniteLanguage(alphabet, tuple(Word(alphabet, t) for t in block if t != missing))
+        witness = shortest_incompletable(x)
+        if best is None or len(witness) > best[0]:
+            best = (len(witness), missing, witness)
+    length, missing, witness = best
+    assert length == n * n + n - 1
+    assert Word(alphabet, missing).text == "a" * (n - 1) + "b"
+    assert witness.text == "a" * (n - 1) + "b" + ("a" * n + "b") * (n - 1)

@@ -80,8 +80,11 @@ def _prefix_aprime():
         (lambda: shortest_incompletable_min_marked(_prefix_aprime(), "a'", cap=1),
          "marked incompletable search"),
         # an incomplete prefix code: complete prefix and suffix codes take the
-        # reset-to-root search instead of the families and the enumeration
-        (lambda: is_synchronizing_code(lang(INCOMPLETE_PREFIX), cap=1), "subset family closure"),
+        # reset-to-root search instead of the enumeration; the test of
+        # synchronization is the pair search without a budget
+        pytest.param(lambda: is_synchronizing_code(lang(INCOMPLETE_PREFIX), cap=1),
+                     "sync-pair forward enumeration",
+                     id="is_synchronizing_code-sync-pair forward enumeration"),
         (lambda: is_sync_pair(lang(EXAMPLE_SET), w("ab"), w("ba"), method="general", cap=1),
          "subset family closure"),
         (lambda: shortest_sync_pair(lang(INCOMPLETE_PREFIX), 9, cap=1),

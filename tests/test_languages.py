@@ -198,6 +198,21 @@ def test_is_code_is_memoized_on_the_language(monkeypatch):
     assert len(calls) == 1
 
 
+def test_prefix_codes_skip_the_closure(monkeypatch):
+    from codesync import cerny_family, languages
+
+    calls = []
+    closure = languages._sardinas_patterson
+    monkeypatch.setattr(languages, "_sardinas_patterson", lambda words: calls.append(words) or closure(words))
+    assert is_code(cerny_family(8)) and not calls
+    cases = list(exhaustive_corpus()) + random_language_sample(517, 300, 4)
+    cases += random_language_sample(518, 200, 3, d=3)
+    cases = [FiniteLanguage(x.alphabet, x.words) for x in cases]  # no memoized answers
+    answers = [is_code(x) for x in cases]
+    assert answers == [closure([u.indices for u in x.words]) for x in cases]
+    assert len(calls) == sum(not is_prefix(x) for x in cases)
+
+
 def test_is_code_agrees_with_factorization_oracle_exhaustive():
     for x in exhaustive_corpus():
         claim = is_code(x)

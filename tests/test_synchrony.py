@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +26,7 @@ from codesync import (
 )
 from codesync.automata import Automaton
 from codesync.errors import DEFAULT_SUBSET_CAP
+from codesync import synchrony
 from codesync.synchrony import _code_sync_pair, _one_sided_flower, _one_sided_pair
 
 from helpers import (
@@ -32,9 +35,11 @@ from helpers import (
     EXAMPLE_SET,
     exhaustive_corpus,
     lang,
+    random_language_sample,
     shortest_sync_pair_eager,
     small_class_languages,
     swap_letters,
+    synchronizes_reference,
     w,
 )
 
@@ -202,6 +207,54 @@ def test_exact_synchronization_decision():
     assert is_synchronizing_code(lang(["a", "ba", "bb"]))
     # the uniform code has gcd 2 and cannot synchronize
     assert not is_synchronizing_code(lang(["aa", "ab", "ba", "bb"]))
+
+
+def _random_codes():
+    return [lang(["abab"])] + [
+        x
+        for n, d, seed in ((3, 2, 1), (2, 3, 2), (4, 2, 3))
+        for x in random_language_sample(seed, 600, n, d)
+        if is_code(x)
+    ]
+
+
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [(lambda: small_class_languages("codes"), (2139, 12)), (_random_codes, (1089, 10))],
+    ids=["small", "random"],
+)
+def test_synchronization_matches_the_two_family_reference(corpus, expected):
+    # expected: the corpus size and how many of its codes are two-sided and
+    # do not synchronize, the case the pair search must run to exhaustion
+    codes = corpus()
+    non_sync_two_sided = 0
+    for x in codes:
+        got = is_synchronizing_code(x)
+        assert got == synchronizes_reference(x), x.word_strings()
+        non_sync_two_sided += not got and _one_sided_flower(x, DEFAULT_SUBSET_CAP) is None
+    assert (len(codes), non_sync_two_sided) == expected
+
+
+def test_exhausted_pair_search_stops_pairing(monkeypatch):
+    # {abab} does not synchronize, and both representative searches end after
+    # five levels; once every pairing of their levels is tried (totals 0..8,
+    # 45 length pairings) the search stops, whatever the budget, instead of
+    # pairing empty levels up to it
+    pairings = 0
+
+    def product(*sides):
+        nonlocal pairings
+        pairings += 1
+        if pairings > 1000:
+            raise AssertionError("more than 1,000 length pairings")
+        return itertools.product(*sides)
+
+    monkeypatch.setattr(synchrony, "itertools", SimpleNamespace(count=itertools.count, product=product))
+    x = lang(["abab"])
+    assert shortest_sync_pair(x, 3000) is None
+    budgeted, pairings = pairings, 0
+    assert not is_synchronizing_code(x)
+    assert budgeted == pairings == 45
 
 
 def test_uniform_full_square_is_not_synchronizing():
