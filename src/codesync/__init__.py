@@ -37,6 +37,7 @@ from .automata import (
     automaton_to_json,
     determinize_minimize,
     first_return_language,
+    first_return_size,
     flower_automaton,
     is_complete_automaton,
     is_deterministic,

@@ -33,12 +33,10 @@ def mask_from_states(states: Iterable[int]) -> int:
 
 def states_from_mask(mask: int) -> list[int]:
     out = []
-    q = 0
     while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
+        low = mask & -mask  # lowest bit first, so the cost follows the set size, not the width
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -370,6 +368,39 @@ def first_return_language(automaton: Automaton) -> FiniteLanguage:
 
     walk(init, (), 0)
     return FiniteLanguage(automaton.alphabet, tuple(words))
+
+
+def first_return_size(automaton: Automaton) -> int:
+    """ℓ(Y) for Y = :func:`first_return_language` (A), without listing Y.
+
+    One memoized longest-path pass over the states co-reachable to 1, avoiding
+    1: the longest path 1 → 1 with no intermediate visit to 1.  Same contract
+    as :func:`first_return_language`: I = F = {1}, and a reached cycle avoiding
+    1 raises.
+    """
+    if automaton.accepting != frozenset({automaton.initial}):
+        raise AutomatonContractError("first-return extraction needs I = F = {1}")
+    init = automaton.initial
+    inner = _reach(automaton, init, back=True) & ~(1 << init)
+    targets = [0] * automaton.n_states
+    for q, row in enumerate(automaton.table):
+        for m in row:
+            targets[q] |= m
+    depth: dict[int, int] = {}  # longest path q → 1 avoiding 1, per finished q
+
+    def longest(state: int, path: int) -> int:
+        best = targets[state] >> init & 1
+        for t in states_from_mask(targets[state] & inner):
+            if path >> t & 1:
+                raise AutomatonContractError(
+                    "a cycle avoids state 1; the first-return set is infinite"
+                )
+            if t not in depth:
+                depth[t] = longest(t, path | 1 << t)
+            best = max(best, 1 + depth[t])
+        return best
+
+    return longest(init, 0)
 
 
 def determinize_minimize(automaton: Automaton) -> Automaton:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EpsilonNotAllowed, ParseError
 
@@ -318,10 +318,15 @@ def kleene_membership(language: FiniteLanguage, w: Word) -> bool:
 
 
 def is_prefix(language: FiniteLanguage) -> bool:
-    """True iff no word of X is a proper prefix of another word of X.  In lex
-    order every word between u and a word with prefix u also has prefix u, so
-    each (distinct) word is tested against its successor only."""
-    words = sorted(w.indices for w in language.words)
+    """True iff no word of X is a proper prefix of another word of X."""
+    return _prefix_free(w.indices for w in language.words)
+
+
+def _prefix_free(words: Iterable[tuple[int, ...]]) -> bool:
+    """The test of :func:`is_prefix` on distinct index tuples.  In lex order
+    every word between u and a word with prefix u also has prefix u, so each
+    word is tested against its successor only."""
+    words = sorted(words)
     return not any(v[: len(u)] == u for u, v in zip(words, words[1:]))
 
 
@@ -333,15 +338,19 @@ def is_code(language: FiniteLanguage) -> bool:
     suffix s to x⁻¹s and s⁻¹x for x ∈ X; X is a code iff ε is never reached.
     Raises :class:`EpsilonNotAllowed` when ε ∈ X: the empty word makes every
     factorization ambiguous, so it is rejected as an invalid code candidate
-    rather than reported as merely "not a code".  A prefix code is a code,
-    so :func:`is_prefix` answers first, without the closure.
+    rather than reported as merely "not a code".  Prefix and suffix codes
+    are codes, so the prefix test, on the words and then on their mirror
+    images, answers first, without the closure.
     """
     if language.contains_epsilon:
         raise EpsilonNotAllowed("ε ∈ X is not a valid code candidate")
     code = language._memo.get("code")
     if code is None:
-        code = language._memo["code"] = is_prefix(language) or _sardinas_patterson(
-            [x.indices for x in language.words]
+        words = [x.indices for x in language.words]
+        code = language._memo["code"] = (
+            _prefix_free(words)
+            or _prefix_free(x[::-1] for x in words)
+            or _sardinas_patterson(words)
         )
     return code
 

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .automata import (
     Automaton,
     automaton_to_json,
     first_return_language,
+    first_return_size,
     flower_automaton,
     is_transitive,
     layered_search,
@@ -59,7 +61,6 @@ class HalfReduction:
     w: Word
     marked_symbol: Optional[str] = None
     aprime: Optional[Automaton] = None
-    y_language: Optional[FiniteLanguage] = None
     incompletable: Optional[Word] = None
     marked_count: int = 0
     split_u1: Optional[Word] = None
@@ -68,6 +69,11 @@ class HalfReduction:
     @property
     def v_length(self) -> int:
         return 0 if self.incompletable is None else len(self.incompletable)
+
+    @cached_property
+    def y_language(self) -> Optional[FiniteLanguage]:
+        """The first-return language Y of A′, listed when first read."""
+        return None if self.aprime is None else first_return_language(self.aprime)
 
 
 @dataclass(frozen=True)
@@ -178,20 +184,35 @@ def shortest_incompletable_min_marked(
     """Minimal-length incompletable word with minimal marked-letter count.
 
     One level-by-level search from Q keeps, per subset first reached at each
-    length, the least (marked count, word) prefix and stops at the first level
+    length, the least (marked count, word) key and stops at the first level
     that reaches ∅.  This is exact because a prefix of a shortest word v with
     δ′(Q, v) = ∅ reaches its subset at that subset's distance, and the cost of
     a completion does not depend on how its start subset was reached.  Raises
     :class:`NotSynchronizing` when the automaton is complete, which signals
     that the input pair was not synchronizing.
+
+    Since δ′(Q, v) = ∅ iff Qv⁻¹ = ∅, the search may equally run on preimages,
+    growing v by prepending letters: the key order stays compatible with
+    extension, so both sides give the same least (marks, word).  It takes the
+    preimage side iff every base (non-marked) letter of A′ is deterministic,
+    as on the left half of a prefix code, and the image side otherwise.
+    Subsets stored, image → preimage side: X_8 13,527 → 64 and X_10
+    217,943 → 100 (canonical pairs); the 74 deterministic halves of
+    ``random_complete_sync_codes(150, seed=0, max_size=6)`` 6,664 → 2,558,
+    while its 75 other halves would grow 3,195 → 8,853, so they keep the
+    image side.
     """
     marked = aprime.alphabet.index(marked_symbol)
     letters = range(len(aprime.alphabet))
+    back = all(
+        row[a] & (row[a] - 1) == 0 for row in aprime.table for a in letters if a != marked
+    )
+    step = aprime.step_letter_back if back else aprime.step_letter
 
     def expand(s, key):
         marks, word = key
         for a in letters:
-            yield aprime.step_letter(s, a), (marks + (a == marked), word + (a,))
+            yield step(s, a), (marks + (a == marked), (a,) + word if back else word + (a,))
 
     for level in layered_search(
         aprime.full_mask, (0, ()), expand, cap=cap, what="marked incompletable search"
@@ -300,10 +321,10 @@ def half_reduction(
             {"side": side, "w": w.text, "v_side": v_side.text},
         )
 
-    y = first_return_language(aprime)
-    if y.size > language.size:
+    y_size = first_return_size(aprime)
+    if y_size > language.size:
         raise InternalInvariantError(
-            "ℓ(Y) exceeded ℓ(X)", {"y_size": y.size, "x_size": language.size}
+            "ℓ(Y) exceeded ℓ(X)", {"y_size": y_size, "x_size": language.size}
         )
     record = HalfReduction(
         side=side,
@@ -312,7 +333,6 @@ def half_reduction(
         w=w,
         marked_symbol=marked_symbol,
         aprime=aprime,
-        y_language=y,
         incompletable=v,
         marked_count=sum(1 for i in v.indices if i == len(aprime.alphabet) - 1),
         split_u1=u1,

@@ -192,34 +192,35 @@ def sync_word_shortest(
 
 
 def is_synchronizing_dfa(automaton: Automaton) -> bool:
-    """All-pairs merge check, independent of the reset-word search.
+    """Pair-merge check, independent of the reset-word search.
 
     A deterministic complete automaton is synchronizing iff every pair of
-    states can be mapped to a single state by some word.
+    states can be mapped to a single state by some word.  The mergeable pairs
+    are found by one backward search over state pairs from the diagonal, on
+    per-letter predecessor lists: each pair is expanded once, so the check
+    costs O(n²·d).
     """
     if not is_deterministic(automaton):
         raise AutomatonContractError("pair-merge check needs a deterministic automaton")
     n, d = automaton.n_states, len(automaton.alphabet)
     if any(automaton.table[q][a] == 0 for q in range(n) for a in range(d)):
         raise AutomatonContractError("pair-merge check needs a complete automaton")
-
-    def target(q: int, a: int) -> int:
-        return automaton.table[q][a].bit_length() - 1
-
+    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(d)]
+    for q, row in enumerate(automaton.table):
+        for a, m in enumerate(row):
+            preds[a][m.bit_length() - 1].append(q)
     mergeable = {(q, q) for q in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        for p, q in itertools.combinations(range(n), 2):
-            if (p, q) in mergeable:
-                continue
-            for a in range(d):
-                tp, tq = target(p, a), target(q, a)
-                if (min(tp, tq), max(tp, tq)) in mergeable:
-                    mergeable.add((p, q))
-                    changed = True
-                    break
-    return all(pair in mergeable for pair in itertools.combinations(range(n), 2))
+    todo = list(mergeable)
+    while todo:
+        s, t = todo.pop()
+        for back in preds:
+            for p in back[s]:
+                for q in back[t]:
+                    pair = (p, q) if p <= q else (q, p)
+                    if pair not in mergeable:
+                        mergeable.add(pair)
+                        todo.append(pair)
+    return len(mergeable) == n * (n + 1) // 2
 
 
 def _star_reps(automaton: Automaton, cap: int, back: bool) -> Iterator[list[tuple[tuple[int, ...], int]]]:

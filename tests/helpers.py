@@ -509,3 +509,50 @@ def left_star_completion_reference(language: FiniteLanguage, word: Word):
                 parent[t] = (s_mask, idx)
                 queue.append(t)
     return None
+
+
+def min_marked_reference(aprime, marked_symbol: str):
+    """The image-side minimal-marked search: levels of δ′(Q, v), v grown by
+    appending letters, each subset kept with its least (marks, word) key,
+    until a level reaches ∅.  None when ∅ is unreachable."""
+    marked = aprime.alphabet.index(marked_symbol)
+    letters = range(len(aprime.alphabet))
+    level, seen = {aprime.full_mask: (0, ())}, {aprime.full_mask}
+    while level:
+        if 0 in level:
+            return Word(aprime.alphabet, level[0][1])
+        nxt: dict = {}
+        for s, (marks, word) in level.items():
+            for a in letters:
+                t, key = aprime.step_letter(s, a), (marks + (a == marked), word + (a,))
+                if t not in seen and (t not in nxt or key < nxt[t]):
+                    nxt[t] = key
+        seen.update(nxt)
+        level = nxt
+    return None
+
+
+def synchronizing_dfa_reference(automaton) -> bool:
+    """All-pairs merge fixpoint on a complete DFA: repeat passes over every
+    pair of states, marking a pair once some letter maps it to a marked pair
+    or to one state, until a pass marks nothing; synchronizing iff every
+    pair is marked."""
+    n, d = automaton.n_states, len(automaton.alphabet)
+
+    def target(q: int, a: int) -> int:
+        return automaton.table[q][a].bit_length() - 1
+
+    mergeable = {(q, q) for q in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in itertools.combinations(range(n), 2):
+            if (p, q) in mergeable:
+                continue
+            for a in range(d):
+                tp, tq = target(p, a), target(q, a)
+                if (min(tp, tq), max(tp, tq)) in mergeable:
+                    mergeable.add((p, q))
+                    changed = True
+                    break
+    return all(pair in mergeable for pair in itertools.combinations(range(n), 2))

@@ -18,6 +18,7 @@ from codesync import (
     automaton_to_json,
     determinize_minimize,
     first_return_language,
+    first_return_size,
     flower_automaton,
     is_code,
     is_complete_automaton,
@@ -265,6 +266,19 @@ def test_first_return_recovers_language():
         assert first_return_language(flower_automaton(x)) == x
 
 
+def test_first_return_size_is_the_size_of_the_listed_language():
+    checked = 0
+    for x in exhaustive_corpus()[::3]:
+        for a in (flower_automaton(x), reverse(flower_automaton(x))):
+            assert first_return_size(a) == first_return_language(a).size, x
+            checked += 1
+    assert checked == 314
+    nonreturning = Automaton(n_states=2, alphabet=BINARY, table=((1 << 1, 1 << 1), (1 << 1, 0)))
+    assert first_return_size(nonreturning) == first_return_language(nonreturning).size == 0
+    with pytest.raises(AutomatonContractError):
+        first_return_size(Automaton(n_states=1, alphabet=BINARY, table=((1, 1),), accepting=frozenset()))
+
+
 def test_first_return_rejects_one_avoiding_cycle():
     from codesync import Automaton
 
@@ -276,6 +290,8 @@ def test_first_return_rejects_one_avoiding_cycle():
     )
     with pytest.raises(AutomatonContractError):
         first_return_language(bad)
+    with pytest.raises(AutomatonContractError):
+        first_return_size(bad)
 
 
 def test_first_return_ignores_an_unreachable_cycle():
@@ -286,6 +302,7 @@ def test_first_return_ignores_an_unreachable_cycle():
         table=((1 << 1, 0), (0, 1 << 0), (1 << 2, 1 << 0)),
     )
     assert first_return_language(a).word_strings() == ["ab"]
+    assert first_return_size(a) == 2
 
 
 def test_first_return_ignores_a_cycle_that_cannot_return():
@@ -296,6 +313,7 @@ def test_first_return_ignores_a_cycle_that_cannot_return():
         table=((1 << 1, 1 << 0), (1 << 1, 0)),
     )
     assert first_return_language(a).word_strings() == ["b"]
+    assert first_return_size(a) == 1
 
 
 def test_reverse_accepts_mirror():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import pytest
 
@@ -28,7 +29,16 @@ from codesync.errors import ParseError
 from codesync.experiments import random_complete_sync_codes
 from codesync.synchrony import cerny_family
 
-from helpers import BINARY, EXAMPLE_PREFIX, EXAMPLE_SET, lang, w
+from helpers import (
+    BINARY,
+    EXAMPLE_PREFIX,
+    EXAMPLE_SET,
+    lang,
+    min_marked_reference,
+    small_class_languages,
+    swap_letters,
+    w,
+)
 
 KNOWN_APRIME_EDGES = sorted(
     [
@@ -206,6 +216,93 @@ def test_min_marked_matches_brute_force_on_both_sides():
         witnesses.append(v.text)
     assert len(witnesses) == 13
     assert witnesses[-3:] == ["caa'", "ba'baab", "caa'"]
+
+
+@lru_cache(maxsize=1)
+def _aprime_halves():
+    """(name, A′) for every nonempty half of: the canonical pairs of X_3..X_8;
+    the least pairs of the ledger corpus, plain and letter-swapped; the least
+    pairs of every synchronizing complete code at n·d ≤ 6."""
+    from codesync import cerny_canonical_pair, reverse
+
+    cases = [(f"X_{n}", cerny_family(n), cerny_canonical_pair(n)) for n in range(3, 9)]
+    for i, x in enumerate(random_complete_sync_codes(150, seed=0, max_size=6)):
+        cases.append((f"ledger #{i}", x, shortest_sync_pair(x, 18)))
+        cases.append((f"ledger #{i} swapped", swap_letters(x), shortest_sync_pair(swap_letters(x), 18)))
+    for x in small_class_languages("complete-codes"):
+        cases.append((" ".join(x.word_strings()), x, shortest_sync_pair(x, 36)))
+    out = []
+    for name, x, pair in cases:
+        if pair is None:
+            continue
+        base = flower_automaton(x)
+        if len(pair.u):
+            out.append((name + " left", build_aprime(base, pair.u)))
+        if len(pair.v):
+            out.append((name + " right", build_aprime(reverse(base), pair.v.reversed())))
+    return tuple(out)
+
+
+def _is_deterministic_base(aprime) -> bool:
+    """Every letter but the marked one, which comes last, is deterministic."""
+    return all(m & (m - 1) == 0 for row in aprime.table for m in row[:-1])
+
+
+def test_min_marked_matches_the_image_side_reference():
+    # the preimage side, taken when the base letters are deterministic, must
+    # give the image side's least (marks, word) on every half
+    halves = _aprime_halves()
+    for name, aprime in halves:
+        marked_symbol = aprime.alphabet.symbols[-1]
+        v = shortest_incompletable_min_marked(aprime, marked_symbol)
+        assert v == min_marked_reference(aprime, marked_symbol), name
+    sides = [_is_deterministic_base(aprime) for _, aprime in halves]
+    assert 100 < sides.count(True) and 100 < sides.count(False)
+
+
+def _count_steps(monkeypatch):
+    from codesync.automata import Automaton
+
+    counts = {"step_letter": 0, "step_letter_back": 0}
+    for name in counts:
+        step = getattr(Automaton, name)
+
+        def counted(self, mask, a, step=step, name=name):
+            counts[name] += 1
+            return step(self, mask, a)
+
+        monkeypatch.setattr(Automaton, name, counted)
+    return counts
+
+
+def test_min_marked_takes_the_preimage_side_on_deterministic_letters(monkeypatch):
+    from codesync import cerny_canonical_pair
+
+    x8 = cerny_family(8)
+    aprime = build_aprime(flower_automaton(x8), cerny_canonical_pair(8).u)
+    counts = _count_steps(monkeypatch)
+    v = shortest_incompletable_min_marked(aprime, "b'")
+    assert len(v) == 49
+    assert counts["step_letter"] == 0 and 0 < counts["step_letter_back"] <= 300
+
+
+def test_min_marked_keeps_the_image_side_on_a_suffix_code_right_half(monkeypatch):
+    from codesync import is_prefix, reverse
+
+    x = cerny_family(4).reversed()
+    pair = shortest_sync_pair(x, 9)
+    assert not is_prefix(x) and len(pair.u) == 0 and len(pair.v) == 9
+    aprime = build_aprime(reverse(flower_automaton(x)), pair.v.reversed())
+    counts = _count_steps(monkeypatch)
+    shortest_incompletable_min_marked(aprime, aprime.alphabet.symbols[-1])
+    assert counts["step_letter_back"] == 0 and counts["step_letter"] > 0
+
+
+def test_first_return_size_matches_the_listed_language_on_aprimes():
+    from codesync import first_return_size
+
+    for name, aprime in _aprime_halves():
+        assert first_return_size(aprime) == first_return_language(aprime).size, name
 
 
 def test_extract_w_on_prefix_example():

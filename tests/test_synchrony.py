@@ -38,6 +38,7 @@ from helpers import (
     random_language_sample,
     shortest_sync_pair_eager,
     small_class_languages,
+    synchronizing_dfa_reference,
     swap_letters,
     synchronizes_reference,
     w,
@@ -167,6 +168,24 @@ def test_reset_word_consistency_on_corpus_dfas():
         seen += 1
         assert (sync_word_shortest(a) is not None) == is_synchronizing_dfa(a)
     assert seen > 0
+
+
+def test_pair_merge_search_matches_the_fixpoint_reference():
+    import random
+
+    from codesync import Alphabet
+
+    rng = random.Random(20261018)
+    answers = []
+    for _ in range(400):
+        n, d = rng.randint(1, 8), rng.randint(1, 3)
+        table = tuple(tuple(1 << rng.randrange(n) for _ in range(d)) for _ in range(n))
+        a = Automaton(n_states=n, alphabet=Alphabet.lowercase(d), table=table)
+        answer = is_synchronizing_dfa(a)
+        assert answer == synchronizing_dfa_reference(a), table
+        assert answer == (sync_word_shortest(a) is not None), table
+        answers.append(answer)
+    assert 100 < sum(answers) < 300
 
 
 def test_reset_needs_deterministic_complete():
@@ -324,19 +343,26 @@ def test_plain_pair_search_matches_eager_reference():
     assert found > 0
 
 
-@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
 def test_cerny_pair_reset_and_reduction_beyond_six(n):
     from codesync import synchronizing_pair_via_reduction
 
     x = cerny_family(n)
-    pair = shortest_sync_pair(x, (n - 1) ** 2)
-    assert pair.total_length == (n - 1) ** 2
-    assert is_sync_pair(x, pair.u, pair.v, method="code")
-    assert is_sync_pair(x, pair.u, pair.v, method="general")
-    m = determinize_minimize(flower_automaton(x))
-    assert m.n_states == n
-    assert len(sync_word_shortest(m)) == n * n - 3 * n + 3
+    if n <= 8:  # from n = 9 on the pair search alone takes seconds
+        pair = shortest_sync_pair(x, (n - 1) ** 2)
+        assert pair.total_length == (n - 1) ** 2
+        assert is_sync_pair(x, pair.u, pair.v, method="code")
+        assert is_sync_pair(x, pair.u, pair.v, method="general")
+        m = determinize_minimize(flower_automaton(x))
+        assert m.n_states == n
+        assert len(sync_word_shortest(m)) == n * n - 3 * n + 3
+    # the canonical-pair reduction, pinned from the image-side search
     _, trace = synchronizing_pair_via_reduction(x, cerny_canonical_pair(n))
+    v = "a" + ("b" + "a" * (n - 1)) * (n - 3) + "ba" + "b" * (n - 2)
+    assert len(v) == (n - 1) ** 2
+    assert trace.left.incompletable.text == v + "'"
+    assert (trace.final_pair.u.text, trace.final_pair.v.text) == (v, "ε")
+    assert trace.bound_value == 2 * (n - 1) ** 2 + 2 * n - 2
     assert trace.bound_ok
 
 
