@@ -57,6 +57,7 @@ class Automaton:
     labels: Optional[tuple[str, ...]] = None
     _letter_rows: tuple = field(init=False, repr=False, compare=False, hash=False)
     _rev_rows: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _total: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.accepting is None:
@@ -76,10 +77,13 @@ class Automaton:
             for m in row:
                 if m < 0 or m >> n:
                     raise AutomatonContractError("transition target out of range")
-        # per-letter views: rows[a][q] and their reverses, for the hot loops
+        # per-letter views: rows[a][q] and their reverses, for the hot loops,
+        # and whether each letter is total (exactly one target per state)
         rows = tuple(zip(*self.table))
         rev = []
+        total = []
         for row in rows:
+            total.append(all(m and not m & (m - 1) for m in row))
             back = [0] * n
             for q, m in enumerate(row):
                 while m:
@@ -89,6 +93,7 @@ class Automaton:
             rev.append(tuple(back))
         object.__setattr__(self, "_letter_rows", rows)
         object.__setattr__(self, "_rev_rows", tuple(rev))
+        object.__setattr__(self, "_total", tuple(total))
 
     @property
     def full_mask(self) -> int:
@@ -104,14 +109,22 @@ class Automaton:
         return out
 
     def step_letter_back(self, mask: int, a: int) -> int:
-        """States q with δ(q,a) ∩ mask ≠ ∅."""
+        """States q with δ(q,a) ∩ mask ≠ ∅.
+
+        On a total letter S·a⁻¹ = Q ∖ (Q ∖ S)·a⁻¹, so a mask holding more than
+        half the states walks its complement instead.
+        """
         row = self._rev_rows[a]
+        flip = 0
+        if self._total[a] and 2 * mask.bit_count() > self.n_states:
+            flip = (1 << self.n_states) - 1
+            mask ^= flip
         out = 0
         while mask:
             q = (mask & -mask).bit_length() - 1
             out |= row[q]
             mask &= mask - 1
-        return out
+        return out ^ flip
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Sorted (from, letter, to) triples."""

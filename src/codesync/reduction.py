@@ -194,19 +194,19 @@ def shortest_incompletable_min_marked(
     Since δ′(Q, v) = ∅ iff Qv⁻¹ = ∅, the search may equally run on preimages,
     growing v by prepending letters: the key order stays compatible with
     extension, so both sides give the same least (marks, word).  It takes the
-    preimage side iff every base (non-marked) letter of A′ is deterministic,
-    as on the left half of a prefix code, and the image side otherwise.
+    preimage side iff every base (non-marked) letter of A′ is total (one
+    target per state), as on the left half of a complete prefix code, where
+    ``step_letter_back`` can walk the complement of a near-full subset, and
+    the image side otherwise.
     Subsets stored, image → preimage side: X_8 13,527 → 64 and X_10
-    217,943 → 100 (canonical pairs); the 74 deterministic halves of
+    217,943 → 100 (canonical pairs); the 74 total halves of
     ``random_complete_sync_codes(150, seed=0, max_size=6)`` 6,664 → 2,558,
     while its 75 other halves would grow 3,195 → 8,853, so they keep the
     image side.
     """
     marked = aprime.alphabet.index(marked_symbol)
     letters = range(len(aprime.alphabet))
-    back = all(
-        row[a] & (row[a] - 1) == 0 for row in aprime.table for a in letters if a != marked
-    )
+    back = all(total for a, total in enumerate(aprime._total) if a != marked)
     step = aprime.step_letter_back if back else aprime.step_letter
 
     def expand(s, key):

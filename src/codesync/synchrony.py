@@ -13,8 +13,8 @@ Both subset families of the general path are finite, computed once per
 language and memoized on it, since pair testing is the hot path of the exact
 search.  A code synchronizes iff it has a pair, so the least-pair search run
 without a budget is also the synchronization test (:func:`_least_code_pair`);
-for complete prefix and suffix codes it is one reset-to-root search
-(:func:`_one_sided_pair`).
+for complete prefix and suffix codes it is one reset-to-root search, run on
+preimages from {1} to Q (:func:`_one_sided_pair`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .automata import (
 from .errors import (
     AutomatonContractError,
     EpsilonNotAllowed,
+    InternalInvariantError,
     NotInStar,
     ParseError,
     SubsetCapExceeded,
@@ -169,6 +170,13 @@ def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP
     return all(images[s] & t for s in rows for t in cols)
 
 
+def _require_complete_dfa(automaton: Automaton, what: str) -> None:
+    """Raise unless every letter is total, naming determinism first."""
+    if not all(automaton._total):
+        kind = "complete" if is_deterministic(automaton) else "deterministic"
+        raise AutomatonContractError(f"{what} a {kind} automaton")
+
+
 def sync_word_shortest(
     automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP
 ) -> Optional[Word]:
@@ -178,12 +186,7 @@ def sync_word_shortest(
     to any singleton; ties break lexicographically.  Returns None when the
     automaton is not synchronizing.
     """
-    if not is_deterministic(automaton):
-        raise AutomatonContractError("reset words need a deterministic automaton")
-    d = len(automaton.alphabet)
-    for q in range(automaton.n_states):
-        if any(automaton.table[q][a] == 0 for a in range(d)):
-            raise AutomatonContractError("reset words need a complete automaton")
+    _require_complete_dfa(automaton, "reset words need")
     _, word = subset_bfs(
         automaton, automaton.full_mask, goal=lambda t: t.bit_count() == 1, cap=cap,
         what="reset-word search",
@@ -200,11 +203,8 @@ def is_synchronizing_dfa(automaton: Automaton) -> bool:
     per-letter predecessor lists: each pair is expanded once, so the check
     costs O(n²·d).
     """
-    if not is_deterministic(automaton):
-        raise AutomatonContractError("pair-merge check needs a deterministic automaton")
+    _require_complete_dfa(automaton, "pair-merge check needs")
     n, d = automaton.n_states, len(automaton.alphabet)
-    if any(automaton.table[q][a] == 0 for q in range(n) for a in range(d)):
-        raise AutomatonContractError("pair-merge check needs a complete automaton")
     preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(d)]
     for q, row in enumerate(automaton.table):
         for a, m in enumerate(row):
@@ -363,13 +363,23 @@ def _one_sided_flower(language: FiniteLanguage, cap: int) -> Optional[tuple[Auto
     """For a code X that is complete and prefix, its flower automaton and
     False; complete and suffix only, the flower of its mirror image and True;
     otherwise None.  X must be an ε-free code, so completeness is its Kraft sum.
+    That flower is a complete deterministic automaton, on which alone the
+    preimage search of :func:`_one_sided_pair` gives the image side's answer,
+    so a letter of it that is not total raises :class:`InternalInvariantError`.
     """
     if not is_complete_language(language, cap):
         return None
-    if is_prefix(language):
-        return flower_automaton(language), False
-    mirror = language.reversed()
-    return (flower_automaton(mirror), True) if is_prefix(mirror) else None
+    mirror = not is_prefix(language)
+    prefix_code = language.reversed() if mirror else language
+    if mirror and not is_prefix(prefix_code):
+        return None
+    automaton = flower_automaton(prefix_code)
+    if not all(automaton._total):
+        raise InternalInvariantError(
+            "the flower of a complete prefix code has a letter that is not total",
+            {"words": language.word_strings(), "mirror": mirror},
+        )
+    return automaton, mirror
 
 
 def _one_sided_pair(
@@ -384,25 +394,33 @@ def _one_sided_pair(
     so Qv⁻¹ = Q for every v and (u, v) synchronizes iff Qu = {1}, which also
     puts u in X*: the least pair under (|uv|, |u|, lex u, lex v) has v = ε.
     (Biskup–Plandowski, "Shortest synchronizing strings for Huffman codes",
-    TCS 2009, study the length of this u.)  With ``mirror`` the automaton is the flower of the mirror image of a
-    complete suffix code X, and the answer is (ε, v): (u, v) synchronizes X iff
-    (v̄, ū) synchronizes the mirror, so v is the (length, lex)-least mirror
-    image of such a word.  Its key grows by prepending letters, which keeps
-    the lex order of keys, so the layered search stays exact.
+    TCS 2009, study the length of this u.)  With ``mirror`` the automaton is
+    the flower of the mirror image of a complete suffix code X, and the answer
+    is (ε, v): (u, v) synchronizes X iff (v̄, ū) synchronizes the mirror, so v
+    is the (length, lex)-least mirror image of such a word.
+
+    The search runs on preimages: on a complete deterministic automaton
+    δ(Q, u) = {1} iff {1}u⁻¹ = Q, so it starts from {1}, steps with
+    ``step_letter_back`` and stops at Q.  u grows by prepending letters, and
+    v, the mirror image of the mirror's word, by appending them; either way
+    the key order stays compatible with extension, so the layered search
+    stays exact.  Its subsets are far fewer than the image side's on X_n
+    (X_9 stores 74 instead of 54,358), and the complement stepping of
+    ``step_letter_back`` keeps its near-full masks cheap.
     """
-    init = 1 << automaton.initial
-    step = automaton.step_letter
+    full = automaton.full_mask
+    step = automaton.step_letter_back
     letters = range(len(automaton.alphabet))
 
     def expand(mask, word):
         for a in letters:
-            yield step(mask, a), ((a,) + word if mirror else word + (a,))
+            yield step(mask, a), (word + (a,) if mirror else (a,) + word)
 
     lengths = itertools.count() if budget is None else range(budget + 1)
-    levels = layered_search(automaton.full_mask, (), expand, cap=cap, what="reset-to-root search")
+    levels = layered_search(1 << automaton.initial, (), expand, cap=cap, what="reset-to-root search")
     for _, level in zip(lengths, levels):  # zip stops before a level beyond the budget
-        if init in level:
-            w, empty = Word(automaton.alphabet, level[init]), Word.epsilon(automaton.alphabet)
+        if full in level:
+            w, empty = Word(automaton.alphabet, level[full]), Word.epsilon(automaton.alphabet)
             return SyncPair(empty, w) if mirror else SyncPair(w, empty)
     return None
 

@@ -532,6 +532,58 @@ def min_marked_reference(aprime, marked_symbol: str):
     return None
 
 
+def one_sided_pair_reference(automaton, mirror: bool, budget):
+    """The image-side reset-to-root search as a plain level loop: levels of
+    δ(Q, u), stepped on ``automaton.table``, u grown by appending letters
+    (prepending when ``mirror``), each subset kept with its least word, until
+    a level holds {1}.  Gives (u, ε), or (ε, u) when ``mirror``; None when
+    no such u has |u| ≤ ``budget`` (no bound when it is None)."""
+    from codesync.synchrony import SyncPair
+
+    letters = range(len(automaton.alphabet))
+    init = 1 << automaton.initial
+
+    def image(s: int, a: int) -> int:
+        t = 0
+        while s:
+            low = s & -s
+            t |= automaton.table[low.bit_length() - 1][a]
+            s ^= low
+        return t
+
+    level, seen, length = {automaton.full_mask: ()}, {automaton.full_mask}, 0
+    while level and (budget is None or length <= budget):
+        if init in level:
+            u, empty = Word(automaton.alphabet, level[init]), Word.epsilon(automaton.alphabet)
+            return SyncPair(empty, u) if mirror else SyncPair(u, empty)
+        nxt: dict = {}
+        for s, word in level.items():
+            for a in letters:
+                t, key = image(s, a), ((a,) + word if mirror else word + (a,))
+                if t not in seen and (t not in nxt or key < nxt[t]):
+                    nxt[t] = key
+        seen.update(nxt)
+        level, length = nxt, length + 1
+    return None
+
+
+def count_steps(monkeypatch) -> dict[str, int]:
+    """Count the calls of ``Automaton.step_letter`` and ``step_letter_back``
+    made from now on in the test, by name."""
+    from codesync.automata import Automaton
+
+    counts = {"step_letter": 0, "step_letter_back": 0}
+    for name in counts:
+        step = getattr(Automaton, name)
+
+        def counted(self, mask, a, step=step, name=name):
+            counts[name] += 1
+            return step(self, mask, a)
+
+        monkeypatch.setattr(Automaton, name, counted)
+    return counts
+
+
 def synchronizing_dfa_reference(automaton) -> bool:
     """All-pairs merge fixpoint on a complete DFA: repeat passes over every
     pair of states, marking a pair once some letter maps it to a marked pair

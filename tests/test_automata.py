@@ -5,6 +5,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codesync import (
     Alphabet,
@@ -184,6 +185,97 @@ def test_step_adjointness_random():
             lhs = bool(step_forward(a, s, word) & t)
             rhs = bool(s & step_backward(a, t, word))
             assert lhs == rhs
+
+
+def _preimage_by_definition(automaton, mask: int, a: int) -> int:
+    """{q : δ(q, a) ∩ S ≠ ∅}, read off the table."""
+    return mask_from_states(q for q, row in enumerate(automaton.table) if row[a] & mask)
+
+
+@st.composite
+def _automata_and_masks(draw):
+    """A random total DFA, partial DFA or NFA with a state mask, its popcount
+    ⌊n/2⌋ or ⌊n/2⌋ + 1 (where complement stepping starts) half of the time."""
+    kind = draw(st.sampled_from(("total", "partial", "nfa")))
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    singles = st.integers(0, n - 1).map(lambda q: 1 << q)
+    cell = {
+        "total": singles,
+        "partial": st.one_of(st.just(0), singles),
+        "nfa": st.integers(0, (1 << n) - 1),
+    }[kind]
+    table = draw(st.lists(st.tuples(*[cell] * d), min_size=n, max_size=n))
+    automaton = Automaton(n_states=n, alphabet=Alphabet.lowercase(d), table=tuple(table))
+    size = draw(st.one_of(st.sampled_from((n // 2, n // 2 + 1)), st.integers(0, n)))
+    states = draw(st.permutations(range(n)))[:size]
+    return kind, automaton, mask_from_states(states)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_automata_and_masks())
+def test_step_letter_back_is_the_preimage_by_definition(case):
+    kind, automaton, mask = case
+    assert all(automaton._total) or kind != "total"
+    for a in range(len(automaton.alphabet)):
+        assert automaton.step_letter_back(mask, a) == _preimage_by_definition(automaton, mask, a)
+
+
+def _popcount_masks(n: int):
+    """Every mask over n states with ⌊n/2⌋ or ⌊n/2⌋ + 1 states, plus ∅ and Q."""
+    sizes = {0, n // 2, min(n // 2 + 1, n), n}
+    return [mask_from_states(c) for k in sorted(sizes) for c in itertools.combinations(range(n), k)]
+
+
+def test_step_letter_back_on_marked_and_one_state_automata():
+    from codesync import build_aprime, cerny_canonical_pair
+
+    aprimes = [
+        build_aprime(flower_automaton(lang(EXAMPLE_PREFIX)), w("aaa")),  # 4 states
+        build_aprime(flower_automaton(cerny_family(4)), cerny_canonical_pair(4).u),  # 11 states
+    ]
+    single = [
+        Automaton(n_states=1, alphabet=BINARY, table=((1, 1),)),
+        Automaton(n_states=1, alphabet=BINARY, table=((1, 0),)),
+    ]
+    for automaton in aprimes + single:
+        for mask in _popcount_masks(automaton.n_states):
+            for a in range(len(automaton.alphabet)):
+                got = automaton.step_letter_back(mask, a)
+                assert got == _preimage_by_definition(automaton, mask, a), (automaton.n_states, mask, a)
+    # the marked letter of A′ adds or removes edges into state 1, so it is
+    # not total, while the base letters of a prefix code's flower are
+    assert [m._total for m in aprimes] == [(True, True, False)] * 2
+    assert [m._total for m in single] == [(True, True), (True, False)]
+
+
+class _CountingRow(tuple):
+    reads = 0
+
+    def __getitem__(self, q):
+        _CountingRow.reads += 1
+        return tuple.__getitem__(self, q)
+
+
+@pytest.mark.parametrize("x", [cerny_family(4), lang(EXAMPLE_PREFIX)], ids=["X_4", "prefix"])
+def test_step_letter_back_walks_the_smaller_side_of_a_total_letter(x):
+    # on a total letter a mask with more than half the states walks its
+    # complement; a letter with a missing edge always walks the mask itself
+    table = flower_automaton(x).table
+    total = Automaton(n_states=len(table), alphabet=BINARY, table=table)
+    partial = Automaton(n_states=len(table), alphabet=BINARY, table=((0, table[0][1]),) + table[1:])
+    rows = [(total, 0, True), (total, 1, True), (partial, 0, False), (partial, 1, True)]
+    n = total.n_states
+    for automaton, a, is_total in rows:
+        assert automaton._total[a] == is_total
+        counting = tuple(_CountingRow(row) for row in automaton._rev_rows)
+        object.__setattr__(automaton, "_rev_rows", counting)
+        for mask in _popcount_masks(n):
+            _CountingRow.reads = 0
+            got = automaton.step_letter_back(mask, a)
+            size = mask.bit_count()
+            walked = n - size if is_total and 2 * size > n else size
+            assert _CountingRow.reads == walked, (n, size, is_total)
+            assert got == _preimage_by_definition(automaton, mask, a)
 
 
 def test_structural_predicates_on_examples():

@@ -33,6 +33,7 @@ from helpers import (
     BINARY,
     EXAMPLE_PREFIX,
     EXAMPLE_SET,
+    count_steps,
     lang,
     min_marked_reference,
     small_class_languages,
@@ -243,36 +244,21 @@ def _aprime_halves():
     return tuple(out)
 
 
-def _is_deterministic_base(aprime) -> bool:
-    """Every letter but the marked one, which comes last, is deterministic."""
-    return all(m & (m - 1) == 0 for row in aprime.table for m in row[:-1])
+def _has_total_base(aprime) -> bool:
+    """Every letter but the marked one, which comes last, is total."""
+    return all(m and not m & (m - 1) for row in aprime.table for m in row[:-1])
 
 
 def test_min_marked_matches_the_image_side_reference():
-    # the preimage side, taken when the base letters are deterministic, must
+    # the preimage side, taken when the base letters are total, must
     # give the image side's least (marks, word) on every half
     halves = _aprime_halves()
     for name, aprime in halves:
         marked_symbol = aprime.alphabet.symbols[-1]
         v = shortest_incompletable_min_marked(aprime, marked_symbol)
         assert v == min_marked_reference(aprime, marked_symbol), name
-    sides = [_is_deterministic_base(aprime) for _, aprime in halves]
+    sides = [_has_total_base(aprime) for _, aprime in halves]
     assert 100 < sides.count(True) and 100 < sides.count(False)
-
-
-def _count_steps(monkeypatch):
-    from codesync.automata import Automaton
-
-    counts = {"step_letter": 0, "step_letter_back": 0}
-    for name in counts:
-        step = getattr(Automaton, name)
-
-        def counted(self, mask, a, step=step, name=name):
-            counts[name] += 1
-            return step(self, mask, a)
-
-        monkeypatch.setattr(Automaton, name, counted)
-    return counts
 
 
 def test_min_marked_takes_the_preimage_side_on_deterministic_letters(monkeypatch):
@@ -280,7 +266,7 @@ def test_min_marked_takes_the_preimage_side_on_deterministic_letters(monkeypatch
 
     x8 = cerny_family(8)
     aprime = build_aprime(flower_automaton(x8), cerny_canonical_pair(8).u)
-    counts = _count_steps(monkeypatch)
+    counts = count_steps(monkeypatch)
     v = shortest_incompletable_min_marked(aprime, "b'")
     assert len(v) == 49
     assert counts["step_letter"] == 0 and 0 < counts["step_letter_back"] <= 300
@@ -293,7 +279,7 @@ def test_min_marked_keeps_the_image_side_on_a_suffix_code_right_half(monkeypatch
     pair = shortest_sync_pair(x, 9)
     assert not is_prefix(x) and len(pair.u) == 0 and len(pair.v) == 9
     aprime = build_aprime(reverse(flower_automaton(x)), pair.v.reversed())
-    counts = _count_steps(monkeypatch)
+    counts = count_steps(monkeypatch)
     shortest_incompletable_min_marked(aprime, aprime.alphabet.symbols[-1])
     assert counts["step_letter_back"] == 0 and counts["step_letter"] > 0
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +24,7 @@ from codesync import (
     sync_word_shortest,
 )
 from codesync.automata import Automaton
-from codesync.errors import DEFAULT_SUBSET_CAP
+from codesync.errors import DEFAULT_SUBSET_CAP, AutomatonContractError, InternalInvariantError
 from codesync import synchrony
 from codesync.synchrony import _code_sync_pair, _one_sided_flower, _one_sided_pair
 
@@ -33,8 +32,10 @@ from helpers import (
     BINARY,
     EXAMPLE_PREFIX,
     EXAMPLE_SET,
+    count_steps,
     exhaustive_corpus,
     lang,
+    one_sided_pair_reference,
     random_language_sample,
     shortest_sync_pair_eager,
     small_class_languages,
@@ -402,8 +403,79 @@ def test_one_sided_pairs_match_the_code_path_search():
     assert (small, mirrored, silent) == (93, 35, 19)
 
 
+def test_one_sided_pair_matches_the_image_side_reference():
+    # the reset-to-root search runs on preimages, from {1} to Q; the plain
+    # image-side level loop, from Q to {1}, must give the same pair at every
+    # budget, on the complete prefix and suffix codes at n·d ≤ 6, X_3..X_8,
+    # mirrored X_3..X_7 and the ledger corpus, plain and letter-swapped
+    from codesync.experiments import random_complete_sync_codes
+
+    cap = DEFAULT_SUBSET_CAP
+    cases = [x for x in small_class_languages("complete-codes") if _one_sided_flower(x, cap)]
+    cases += [cerny_family(n) for n in range(3, 9)] + [cerny_family(n).reversed() for n in range(3, 8)]
+    for x in random_complete_sync_codes(150, seed=0, max_size=6):
+        cases += [x, swap_letters(x)]
+    found = mirrored = 0
+    for x in cases:
+        automaton, mirror = _one_sided_flower(x, cap)
+        for budget in (0, 6, 18, (x.size - 1) ** 2, None):
+            pair = _one_sided_pair(automaton, mirror, budget, cap)
+            assert pair == one_sided_pair_reference(automaton, mirror, budget), (x.word_strings(), budget)
+            found += pair is not None
+        mirrored += mirror
+    assert (len(cases), mirrored, found) == (404, 185, 1348)
+
+
+def test_one_sided_flower_requires_total_letters(monkeypatch):
+    # the preimage search equals the image search only on a complete DFA, so
+    # a flower with a letter that is not total is an internal error, raised
+    # with the code's words
+    x = lang(EXAMPLE_PREFIX)
+    flower = flower_automaton(x)
+    broken = Automaton(
+        n_states=flower.n_states,
+        alphabet=flower.alphabet,
+        table=((0, flower.table[0][1]),) + flower.table[1:],
+    )
+    monkeypatch.setattr(synchrony, "flower_automaton", lambda language: broken)
+    with pytest.raises(InternalInvariantError) as err:
+        _one_sided_flower(x, DEFAULT_SUBSET_CAP)
+    assert err.value.details == {"words": x.word_strings(), "mirror": False}
+
+
+def test_reset_words_and_pair_merge_name_the_missing_property():
+    nondeterministic = flower_automaton(lang(EXAMPLE_SET))
+    partial = Automaton(n_states=2, alphabet=BINARY, table=((0b10, 0b01), (0b01, 0)))
+    both = Automaton(n_states=2, alphabet=BINARY, table=((0b11, 0b01), (0b01, 0)))
+    for check, what in ((sync_word_shortest, "reset words need"), (is_synchronizing_dfa, "pair-merge check needs")):
+        for automaton, kind in ((nondeterministic, "deterministic"), (partial, "complete"), (both, "deterministic")):
+            with pytest.raises(AutomatonContractError) as err:
+                check(automaton)
+            assert str(err.value) == f"{what} a {kind} automaton"
+
+
+def test_reset_to_root_search_on_x8_stays_on_preimages(monkeypatch):
+    # the image side stores 13,526 subsets on X_8 and the preimage side 58
+    stored = 0
+    search = synchrony.layered_search
+
+    def counted(*args, **kwargs):
+        nonlocal stored
+        for level in search(*args, **kwargs):
+            stored += len(level)
+            yield level
+
+    x = cerny_family(8)
+    monkeypatch.setattr(synchrony, "layered_search", counted)
+    counts = count_steps(monkeypatch)
+    pair = shortest_sync_pair(x, 49)
+    assert (pair.u.text, pair.v.text) == ("a" + ("b" + "a" * 7) * 6, "ε")
+    assert counts["step_letter"] == 0 and 0 < stored <= 100
+
+
 # taken from the two-sided representative search, before the one-sided
-# search existed; it is a·(b a⁸)⁷, and X_10's pair below has the same shape
+# search existed; it is a·(b a⁸)⁷, and X_10's and X_11's pairs below have the
+# same shape (X_11's checked once against the image-side reset-to-root search)
 CERNY_9_PAIR = "abaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaabaaaaaaaa"
 
 
@@ -414,9 +486,15 @@ def test_cerny_nine_pair_is_pinned():
     assert is_sync_pair(x, pair.u, pair.v, method="code")
 
 
-@pytest.mark.skipif(not os.environ.get("CODESYNC_SLOW"), reason="about 2 s; set CODESYNC_SLOW=1")
 def test_cerny_ten_pair_is_pinned():
     x = cerny_family(10)
     pair = shortest_sync_pair(x, 81)
     assert (pair.u.text, pair.v.text) == ("a" + ("b" + "a" * 9) * 8, "ε")
+    assert is_sync_pair(x, pair.u, pair.v, method="code")
+
+
+def test_cerny_eleven_pair_is_pinned():
+    x = cerny_family(11)
+    pair = shortest_sync_pair(x, 100)
+    assert (pair.u.text, pair.v.text) == ("a" + ("b" + "a" * 10) * 9, "ε")
     assert is_sync_pair(x, pair.u, pair.v, method="code")
