@@ -649,7 +649,8 @@ def verify_main_bound(
 
     A ledger violation (or any internal failure) is recorded as a finding with
     the full trace rather than raised, so a batch always reports completely.
-    The tighter prefix ledger |w₁| ≤ |v| is checked on prefix instances.
+    The pipeline itself checks the tighter prefix ledger |w₁| ≤ |v|, which
+    the detail reports on prefix instances.
     """
     results = []
     for language in instances:
@@ -662,20 +663,14 @@ def verify_main_bound(
                 BoundCheck(language, False, f"{type(e).__name__}: {e}", None)
             )
             continue
-        ok = trace.bound_ok
         detail = (
             f"|final| = {trace.final_length} ≤ {trace.bound_value} = "
             f"2·max(|v|) + 2n − 2"
         )
-        if is_prefix(language) and trace.prefix_pair is not None:
-            prefix_ok = (
-                trace.left.skipped
-                or len(trace.prefix_pair.u) <= trace.left.v_length
-            )
-            ok = ok and prefix_ok
+        if trace.prefix_pair is not None:
             detail += (
                 f"; prefix ledger |w₁| = {len(trace.prefix_pair.u)} ≤ "
                 f"{trace.left.v_length} = |v|"
             )
-        results.append(BoundCheck(language, ok, detail, trace))
+        results.append(BoundCheck(language, trace.bound_ok, detail, trace))
     return results

@@ -26,6 +26,10 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise ParseError("alphabet must be nonempty")
+        for s in self.symbols:
+            # Word.parse could not read such a symbol back
+            if not isinstance(s, str) or not s or s == "ε" or any(c.isspace() for c in s):
+                raise ParseError(f"symbol {s!r} must be a nonempty string without whitespace, not ε")
         if len(set(self.symbols)) != len(self.symbols):
             raise ParseError(f"duplicate symbols in alphabet {self.symbols!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
@@ -120,10 +124,20 @@ class Word:
 
     @property
     def text(self) -> str:
-        """Rendered form: concatenated tokens, ε for the empty word."""
+        """Rendered form, which :meth:`parse` reads back: ε for the empty word,
+        else the concatenated tokens, or the tokens joined by single spaces
+        where the concatenation reads back otherwise (a·b over {a, b, ab})."""
         if not self.indices:
             return "ε"
-        return "".join(self.alphabet.symbols[i] for i in self.indices)
+        tokens = [self.alphabet.symbols[i] for i in self.indices]
+        joined = "".join(tokens)
+        try:
+            plain = all(len(s) == 1 for s in self.alphabet) or (
+                Word.parse(joined, self.alphabet) == self
+            )
+        except ParseError:
+            plain = False
+        return joined if plain else " ".join(tokens)
 
     def __len__(self) -> int:
         return len(self.indices)

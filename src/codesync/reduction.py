@@ -178,10 +178,8 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
     return aprime
 
 
-def shortest_incompletable_min_marked(
-    aprime: Automaton, marked_symbol: str, cap: int = DEFAULT_SUBSET_CAP
-) -> Word:
-    """Minimal-length incompletable word with minimal marked-letter count.
+def shortest_incompletable_min_marked(aprime: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> Word:
+    """Minimal-length incompletable word with fewest marked letters a′ (A′'s last letter).
 
     One level-by-level search from Q keeps, per subset first reached at each
     length, the least (marked count, word) key and stops at the first level
@@ -204,7 +202,7 @@ def shortest_incompletable_min_marked(
     while its 75 other halves would grow 3,195 → 8,853, so they keep the
     image side.
     """
-    marked = aprime.alphabet.index(marked_symbol)
+    marked = len(aprime.alphabet) - 1
     letters = range(len(aprime.alphabet))
     back = all(total for a, total in enumerate(aprime._total) if a != marked)
     step = aprime.step_letter_back if back else aprime.step_letter
@@ -223,7 +221,7 @@ def shortest_incompletable_min_marked(
             if marks < 1:
                 raise InternalInvariantError(
                     "minimal incompletable word has no marked letter",
-                    {"v": v.text, "marked": marked_symbol},
+                    {"v": v.text, "marked": aprime.alphabet.symbols[marked]},
                 )
             return v
     raise NotSynchronizing(
@@ -231,20 +229,18 @@ def shortest_incompletable_min_marked(
     )
 
 
-def extract_w(
-    automaton: Automaton, v1: Word, v: Word, marked_symbol: str
-) -> tuple[Word, Word, Word]:
-    """Split v = u₁·a′·u₂ at the first marked letter and return (w₁, u₁, u₂).
+def extract_w(automaton: Automaton, v1: Word, v: Word) -> tuple[Word, Word, Word]:
+    """Split v = u₁·a′·u₂ at its first a′, A′'s last letter, and return (w₁, u₁, u₂).
 
     Verifies the inclusion δ(Q, u₁) ⊆ δ(Q, u); by the minimality of v this
     cannot fail, so a failure is reported as an internal error with enough
     context to reconstruct the run.
     """
-    marked = v.alphabet.index(marked_symbol)
+    marked = len(v.alphabet) - 1
     if marked not in v.indices:
         raise InternalInvariantError(
             "incompletable word contains no marked letter",
-            {"v": v.text, "marked": marked_symbol},
+            {"v": v.text, "marked": v.alphabet.symbols[marked]},
         )
     pos = v.indices.index(marked)
     u1 = Word(automaton.alphabet, v.indices[:pos])  # before the first a′: pure base letters
@@ -284,7 +280,7 @@ def half_reduction(
     v_side: Word,
     side: str,
     cap: int = DEFAULT_SUBSET_CAP,
-) -> tuple[Word, HalfReduction]:
+) -> HalfReduction:
     """One side of the pipeline: Qw ⊆ Qv₁ (left) or Qw⁻¹ ⊆ Qv₂⁻¹ (right).
 
     The right side runs the identical construction on the edge-reversed flower
@@ -296,7 +292,7 @@ def half_reduction(
     if not kleene_membership(language, v_side):
         raise NotSynchronizing(f"{v_side.text!r} is not in X*")
     if len(v_side) == 0:
-        return Word.epsilon(language.alphabet), HalfReduction(
+        return HalfReduction(
             side=side, v_side=v_side, skipped=True, w=Word.epsilon(language.alphabet)
         )
     base = flower_automaton(language)
@@ -304,18 +300,13 @@ def half_reduction(
     v_work = v_side.reversed() if side == "right" else v_side
 
     aprime = build_aprime(work, v_work)
-    marked_symbol = aprime.alphabet.symbols[-1]
-    v = shortest_incompletable_min_marked(aprime, marked_symbol, cap)
-    w_work, u1, u2 = extract_w(work, v_work, v, marked_symbol)
+    v = shortest_incompletable_min_marked(aprime, cap)
+    w_work, u1, u2 = extract_w(work, v_work, v)
     w = w_work.reversed() if side == "right" else w_work
 
-    # re-verify the inclusion in original coordinates
+    # extract_w checked Qw ⊆ Qv₁; only the right side crosses the reversal
     full = base.full_mask
-    if side == "left":
-        ok = not (step_forward(base, full, w) & ~step_forward(base, full, v_side))
-    else:
-        ok = not (step_backward(base, full, w) & ~step_backward(base, full, v_side))
-    if not ok:
+    if side == "right" and step_backward(base, full, w) & ~step_backward(base, full, v_side):
         raise InternalInvariantError(
             "half reduction output failed its inclusion check",
             {"side": side, "w": w.text, "v_side": v_side.text},
@@ -326,7 +317,8 @@ def half_reduction(
         raise InternalInvariantError(
             "ℓ(Y) exceeded ℓ(X)", {"y_size": y_size, "x_size": language.size}
         )
-    record = HalfReduction(
+    marked_symbol = aprime.alphabet.symbols[-1]
+    return HalfReduction(
         side=side,
         v_side=v_side,
         skipped=False,
@@ -334,11 +326,10 @@ def half_reduction(
         marked_symbol=marked_symbol,
         aprime=aprime,
         incompletable=v,
-        marked_count=sum(1 for i in v.indices if i == len(aprime.alphabet) - 1),
+        marked_count=v.count(marked_symbol),
         split_u1=u1,
         split_u2=u2,
     )
-    return w, record
 
 
 def synchronizing_pair_via_reduction(
@@ -368,8 +359,9 @@ def synchronizing_pair_via_reduction(
     if not is_sync_pair(language, pair.u, pair.v, method="code", cap=cap):
         raise NotSynchronizing("the supplied pair failed verification")
 
-    w1, left = half_reduction(language, pair.u, "left", cap)
-    w2, right = half_reduction(language, pair.v, "right", cap)
+    left = half_reduction(language, pair.u, "left", cap)
+    right = half_reduction(language, pair.v, "right", cap)
+    w1, w2 = left.w, right.w
 
     witness = find_completion(language, w1 + w2)
     if witness is None:

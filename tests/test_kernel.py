@@ -77,7 +77,7 @@ def _prefix_aprime():
         (lambda: shortest_incompletable(lang(EXAMPLE_SET), cap=1), "incompletable-word search"),
         (lambda: sync_word_shortest(determinize_minimize(flower_automaton(cerny_family(4))), cap=1),
          "reset-word search"),
-        (lambda: shortest_incompletable_min_marked(_prefix_aprime(), "a'", cap=1),
+        (lambda: shortest_incompletable_min_marked(_prefix_aprime(), cap=1),
          "marked incompletable search"),
         # an incomplete prefix code: complete prefix and suffix codes take the
         # reset-to-root search instead of the enumeration; the test of

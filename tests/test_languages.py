@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codesync import (
     Alphabet,
@@ -103,6 +104,52 @@ def test_word_parse_greedy_multichar_tokens():
     word = Word.parse("ba'a", alpha)
     assert word.indices == (1, 2, 0)
     assert word.text == "ba'a"
+
+
+@pytest.mark.parametrize("symbols", [("", "a"), ("a b", "a"), ("ε", "a"), (1, "a")])
+def test_alphabet_rejects_symbols_that_cannot_be_read_back(symbols):
+    # an empty symbol made Word.parse loop forever, ε read as the empty word
+    # and "a b" as two fields
+    with pytest.raises(ParseError):
+        Alphabet(symbols)
+
+
+@pytest.mark.parametrize(
+    "symbols, indices, text",
+    [
+        (("a", "b", "ab"), (0, 1), "a b"),  # "ab" reads as the one-letter word ab
+        (("a", "b", "ab"), (2, 1), "abb"),
+        (("a", "ab", "bc"), (0, 2), "a bc"),  # greedy "abc" reads ab, then fails on c
+        (("e", "p", "s"), (0, 1, 2), "eps"),
+    ],
+)
+def test_word_text_joins_with_spaces_only_where_concatenation_is_ambiguous(symbols, indices, text):
+    word = Word(Alphabet(symbols), indices)
+    assert word.text == text
+    assert Word.parse(text, word.alphabet) == word
+
+
+_TOKENS = st.one_of(
+    st.sampled_from("abc"),
+    st.text("abe", min_size=2, max_size=3),
+    st.builds(lambda c, k: c + "'" * k, st.sampled_from("ab"), st.integers(1, 2)),
+    st.sampled_from("eps"),
+)
+
+
+@st.composite
+def _alphabets_and_words(draw):
+    symbols = draw(st.lists(_TOKENS, min_size=1, max_size=4, unique=True))
+    indices = draw(st.lists(st.integers(0, len(symbols) - 1), max_size=8))
+    return Word(Alphabet(tuple(symbols)), tuple(indices))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_alphabets_and_words())
+def test_word_text_reads_back(word):
+    assert Word.parse(word.text, word.alphabet) == word
+    if all(len(s) == 1 for s in word.alphabet.symbols):
+        assert " " not in word.text
 
 
 def test_word_count_and_reverse():

@@ -103,7 +103,7 @@ def test_aprime_rejects_empty_v1_and_renames_colliding_mark():
 
 def test_min_marked_incompletable_word():
     _, aprime = prefix_example_aprime()
-    v = shortest_incompletable_min_marked(aprime, "a'")
+    v = shortest_incompletable_min_marked(aprime)
     assert v.text == "aaa'"
     assert len(v) == 3 and v.count("a'") == 1
 
@@ -113,7 +113,7 @@ def test_min_marked_single_letter_case():
     # δ'(1, a') = ∅ directly, so the witness is the single marked letter
     x = lang(["a"])
     aprime = build_aprime(flower_automaton(x), Word.parse("a", x.alphabet))
-    v = shortest_incompletable_min_marked(aprime, "a'")
+    v = shortest_incompletable_min_marked(aprime)
     assert v.text == "a'"
 
 
@@ -124,11 +124,11 @@ def test_min_marked_empty_at_level_one():
 
     looped = Automaton(n_states=1, alphabet=BINARY, table=((1, 1),))
     aprime = build_aprime(looped, Word(BINARY, (0,)))
-    v = shortest_incompletable_min_marked(aprime, "a'")
+    v = shortest_incompletable_min_marked(aprime)
     assert v.text == "a'"
     # boundary split: u1 = ε needs δ(Q, ε) = Q ⊆ δ(Q, u), which holds since
     # u = ε as well; the extracted word is the unmarked base letter
-    w1, u1, u2 = extract_w(looped, Word(BINARY, (0,)), v, "a'")
+    w1, u1, u2 = extract_w(looped, Word(BINARY, (0,)), v)
     assert w1.text == "a" and u1.text == "ε" and u2.text == "ε"
 
 
@@ -138,7 +138,7 @@ def test_min_marked_agrees_with_brute_oracle_on_y():
     from codesync.completeness import brute_force_incompletable
 
     _, aprime = prefix_example_aprime()
-    v = shortest_incompletable_min_marked(aprime, "a'")
+    v = shortest_incompletable_min_marked(aprime)
     y = first_return_language(aprime)
     brute = brute_force_incompletable(y, len(v))
     assert brute is not None and len(brute) == len(v)
@@ -152,7 +152,7 @@ def test_min_marked_raises_on_complete_automaton():
         n_states=1, alphabet=Alphabet.of("a", "a'"), table=((1, 1),)
     )
     with pytest.raises(NotSynchronizing):
-        shortest_incompletable_min_marked(complete, "a'")
+        shortest_incompletable_min_marked(complete)
 
 
 def _brute_min_marked(aprime, marked_symbol):
@@ -211,9 +211,8 @@ def _min_marked_instances():
 def test_min_marked_matches_brute_force_on_both_sides():
     witnesses = []
     for aprime in _min_marked_instances():
-        marked_symbol = aprime.alphabet.symbols[-1]
-        v = shortest_incompletable_min_marked(aprime, marked_symbol)
-        assert v == _brute_min_marked(aprime, marked_symbol), v.text
+        v = shortest_incompletable_min_marked(aprime)
+        assert v == _brute_min_marked(aprime, aprime.alphabet.symbols[-1]), v.text
         witnesses.append(v.text)
     assert len(witnesses) == 13
     assert witnesses[-3:] == ["caa'", "ba'baab", "caa'"]
@@ -254,9 +253,8 @@ def test_min_marked_matches_the_image_side_reference():
     # give the image side's least (marks, word) on every half
     halves = _aprime_halves()
     for name, aprime in halves:
-        marked_symbol = aprime.alphabet.symbols[-1]
-        v = shortest_incompletable_min_marked(aprime, marked_symbol)
-        assert v == min_marked_reference(aprime, marked_symbol), name
+        v = shortest_incompletable_min_marked(aprime)
+        assert v == min_marked_reference(aprime, aprime.alphabet.symbols[-1]), name
     sides = [_has_total_base(aprime) for _, aprime in halves]
     assert 100 < sides.count(True) and 100 < sides.count(False)
 
@@ -267,7 +265,7 @@ def test_min_marked_takes_the_preimage_side_on_deterministic_letters(monkeypatch
     x8 = cerny_family(8)
     aprime = build_aprime(flower_automaton(x8), cerny_canonical_pair(8).u)
     counts = count_steps(monkeypatch)
-    v = shortest_incompletable_min_marked(aprime, "b'")
+    v = shortest_incompletable_min_marked(aprime)
     assert len(v) == 49
     assert counts["step_letter"] == 0 and 0 < counts["step_letter_back"] <= 300
 
@@ -280,7 +278,7 @@ def test_min_marked_keeps_the_image_side_on_a_suffix_code_right_half(monkeypatch
     assert not is_prefix(x) and len(pair.u) == 0 and len(pair.v) == 9
     aprime = build_aprime(reverse(flower_automaton(x)), pair.v.reversed())
     counts = count_steps(monkeypatch)
-    shortest_incompletable_min_marked(aprime, aprime.alphabet.symbols[-1])
+    shortest_incompletable_min_marked(aprime)
     assert counts["step_letter_back"] == 0 and counts["step_letter"] > 0
 
 
@@ -294,8 +292,8 @@ def test_first_return_size_matches_the_listed_language_on_aprimes():
 def test_extract_w_on_prefix_example():
     x, aprime = prefix_example_aprime()
     base = flower_automaton(x)
-    v = shortest_incompletable_min_marked(aprime, "a'")
-    w1, u1, u2 = extract_w(base, w("aaa"), v, "a'")
+    v = shortest_incompletable_min_marked(aprime)
+    w1, u1, u2 = extract_w(base, w("aaa"), v)
     assert w1.text == "aaa"
     assert u1.text == "aa" and u2.text == "ε"
     assert len(w1) <= len(v)
@@ -303,7 +301,8 @@ def test_extract_w_on_prefix_example():
 
 def test_half_reduction_left_inclusion():
     x = lang(EXAMPLE_PREFIX)
-    w1, record = half_reduction(x, w("aaa"), "left")
+    record = half_reduction(x, w("aaa"), "left")
+    w1 = record.w
     assert w1.text == "aaa"
     base = flower_automaton(x)
     full = base.full_mask
@@ -314,8 +313,8 @@ def test_half_reduction_left_inclusion():
 
 def test_half_reduction_trivial_epsilon():
     x = lang(EXAMPLE_PREFIX)
-    word, record = half_reduction(x, Word.epsilon(BINARY), "right")
-    assert word.text == "ε" and record.skipped
+    record = half_reduction(x, Word.epsilon(BINARY), "right")
+    assert record.w.text == "ε" and record.skipped
 
 
 def test_half_reduction_right_side_on_suffix_code():
@@ -328,7 +327,7 @@ def test_half_reduction_right_side_on_suffix_code():
         pair = shortest_sync_pair(x, 10)
         if pair is None or len(pair.v) == 0:
             continue
-        word, record = half_reduction(x, pair.v, "right")
+        word = half_reduction(x, pair.v, "right").w
         exercised += 1
         base = flower_automaton(x)
         full = base.full_mask

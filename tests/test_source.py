@@ -57,3 +57,25 @@ def test_one_function_builds_the_experiment_reports():
                 ):
                     builders.add(f"{path.stem}.{func.name}")
     assert builders == {"experiments._sweep"}
+
+
+def test_internal_invariant_errors_carry_a_payload():
+    """Every ``InternalInvariantError`` raised in the package passes a message
+    and a nonempty details payload, so a failure reproduces its run."""
+    raises, missing = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            call = exc if isinstance(exc, ast.Call) else None
+            name = call.func if call else exc
+            if not (isinstance(name, ast.Name) and name.id == "InternalInvariantError"):
+                continue
+            raises += 1
+            args = [*call.args, *(k.value for k in call.keywords)] if call else []
+            details = args[1] if len(args) > 1 else None
+            if details is None or isinstance(details, ast.Constant) or (
+                isinstance(details, ast.Dict) and not details.keys
+            ):
+                missing.append(f"{path.name}:{node.lineno}")
+    assert raises > 20
+    assert not missing, f"InternalInvariantError without a payload: {missing}"

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codesync import (
     NotInStar,
@@ -36,6 +39,7 @@ from helpers import (
     exhaustive_corpus,
     lang,
     one_sided_pair_reference,
+    random_complete_code,
     random_language_sample,
     shortest_sync_pair_eager,
     small_class_languages,
@@ -377,6 +381,34 @@ def test_checker_agreement_spot():
         assert _code_pair_check(automaton, u, v) == _general_pair_check(
             automaton, fwd, bwd, u, v
         )
+
+
+@lru_cache(maxsize=1)
+def _seeded_codes():
+    """Random codes over 2 and 3 letters, mostly incomplete, and random
+    complete prefix and suffix codes."""
+    codes = [x for x in random_language_sample(16, 120, 3) if is_code(x)]
+    codes += [x for x in random_language_sample(17, 60, 2, 3) if is_code(x)]
+    rng = random.Random(16)
+    codes += [random_complete_code(rng, 2, 4) for _ in range(20)]
+    codes += [random_complete_code(rng, 3, 3) for _ in range(10)]
+    return tuple(codes)
+
+
+@st.composite
+def _codes_and_star_pairs(draw):
+    """A seeded code with u and v, each a concatenation of 0–4 codewords."""
+    x = draw(st.sampled_from(_seeded_codes()))
+    factors = st.lists(st.sampled_from(x.words), max_size=4)
+    u, v = (sum(draw(factors), Word.epsilon(x.alphabet)) for _ in "uv")
+    return x, u, v
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_codes_and_star_pairs())
+def test_code_and_general_checkers_agree_on_codes(case):
+    x, u, v = case
+    assert is_sync_pair(x, u, v, method="code") == is_sync_pair(x, u, v, method="general")
 
 
 def test_one_sided_pairs_match_the_code_path_search():
