@@ -21,7 +21,7 @@ from .errors import (
     SubsetCapExceeded,
     DEFAULT_SUBSET_CAP,
 )
-from .languages import Alphabet, FiniteLanguage, Word
+from .languages import Alphabet, FiniteLanguage, Word, _json_int, _json_list
 
 
 def mask_from_states(states: Iterable[int]) -> int:
@@ -488,21 +488,25 @@ def automaton_from_json(text: str) -> Automaton:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid automaton JSON: {e}") from None
     try:
-        n = int(data["states"])
-        alphabet = Alphabet(tuple(data["alphabet"]))
+        n = _json_int(data["states"])
+        alphabet = Alphabet(tuple(_json_list(data, "alphabet")))
         d = len(alphabet)
         table = [[0] * d for _ in range(n)]
-        for q, a, t in data["edges"]:
+        for edge in _json_list(data, "edges"):
+            if not isinstance(edge, list) or len(edge) != 3:
+                raise ParseError(f"edge {edge!r} must be a [from, letter, to] list")
+            q, a, t = map(_json_int, edge)
             if not (0 <= q < n and 0 <= a < d and 0 <= t < n):
                 raise ParseError(f"edge {(q, a, t)} out of range")
             table[q][a] |= 1 << t
-        accepting = frozenset(data.get("accepting", [data.get("initial", 0)]))
-        labels = tuple(data["labels"]) if "labels" in data else None
+        initial = _json_int(data.get("initial", 0))
+        accepting = frozenset(map(_json_int, _json_list(data, "accepting"))) if "accepting" in data else None
+        labels = tuple(_json_list(data, "labels")) if "labels" in data else None
         return Automaton(
             n_states=n,
             alphabet=alphabet,
             table=tuple(tuple(row) for row in table),
-            initial=int(data.get("initial", 0)),
+            initial=initial,
             accepting=accepting,
             labels=labels,
         )

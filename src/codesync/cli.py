@@ -51,9 +51,17 @@ EXIT_CAP = 3
 
 def _load_language(path: str):
     try:
-        return parse_language(Path(path).read_text())
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    return parse_language(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise CodesyncError(f"cannot write {path}: {e}") from None
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -172,7 +180,7 @@ def cmd_reduce(args) -> int:
         )
     out, trace = synchronizing_pair_via_reduction(x, pair, budget=args.budget)
     if args.trace:
-        Path(args.trace).write_text(trace.to_json())
+        _write(args.trace, trace.to_json())
     _emit(
         args,
         json.loads(trace.to_json()),
@@ -281,7 +289,7 @@ def cmd_experiment(args) -> int:
     else:
         report = estimate_C(budget=args.budget, **common)
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        _write(args.out, report.to_json())
     if args.csv:
         print(CSV_HEADER)
         print(report.to_csv_row())

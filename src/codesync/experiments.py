@@ -172,12 +172,14 @@ def _in_class(language: FiniteLanguage, class_tag: str, cap: int) -> bool:
 class _PoolTrie:
     """The prefix trie of the word pool A^{≤n}, built once per enumeration.
 
-    Its nodes are the words of A^{<n}, the root first, in (length, lex) order;
-    node j > 0 is pool word j − 1.  The flower automaton of a pool subset X is
-    the trie cut down to the root and the proper prefixes of X, with its states
-    in the same order, so every candidate X is stepped by a :class:`_PoolView`
-    on the shared tables below.  Each table is split into a low and a high
-    half, as :func:`_or_tables` does, so it stays small for any pool size.
+    One index space serves nodes and words: bit 0 is the root and bit i + 1
+    is pool word i.  The pool is in (length, lex) order, so the trie nodes,
+    the root and the words of A^{<n}, are the low bits.  The flower automaton
+    of a pool subset X is the trie cut down to the root and the proper
+    prefixes of X, with its states in the same order, so every candidate X is
+    stepped by a :class:`_PoolView` on the shared tables below.  Each table
+    is split into a low and a high half, as :func:`_or_tables` does, so it
+    stays small for any pool size.
     """
 
     def __init__(self, n: int, d: int, instance_cap: int):
@@ -192,35 +194,20 @@ class _PoolTrie:
         self.pool = _word_pool(self.alphabet, n)
         words = [w.indices for w in self.pool]
         nodes = [()] + [u for u in words if len(u) < n]
-        node_bit = {u: 1 << j for j, u in enumerate(nodes)}
-        pool_bit = {u: 1 << i for i, u in enumerate(words)}
+        bit = {u: 2 << i for i, u in enumerate(words)}
+        bit[()] = 1
         self.words = words
-        self.n_nodes = len(nodes)
         self.half = len(words) // 2
         self.node_half = len(nodes) // 2
         self.node_low = (1 << self.node_half) - 1
         letters = range(d)
-        self.proper = [sum(pool_bit[u[:k]] for k in range(1, len(u))) for u in words]
+        self.proper = [sum(bit[u[:k]] for k in range(1, len(u))) >> 1 for u in words]
         # over pool masks: the root and the proper prefixes of each member
-        # word, and the node a member word leaves on its last letter a
-        self.live = _or_tables([sum(node_bit[u[:k]] for k in range(len(u))) for u in words], self.half)
-        self.root_back = [
-            _or_tables([node_bit[u[:-1]] if u[-1] == a else 0 for u in words], self.half)
-            for a in letters
-        ]
-        # over node masks: p·a as a node (when shorter than n) in the low
-        # n_nodes bits and as a pool word above them; the parent of p = q·a
-        self.forward = [
-            _or_tables(
-                [node_bit.get(p + (a,), 0) | pool_bit[p + (a,)] << len(nodes) for p in nodes],
-                self.node_half,
-            )
-            for a in letters
-        ]
-        self.parent = [
-            _or_tables([node_bit[p[:-1]] if p and p[-1] == a else 0 for p in nodes], self.node_half)
-            for a in letters
-        ]
+        # word, and the parent node of each word ending in a
+        self.live = _or_tables([1 | p << 1 for p in self.proper], self.half)
+        self.up = [_or_tables([bit[u[:-1]] if u[-1] == a else 0 for u in words], self.half) for a in letters]
+        # over node masks: p·a, a node when shorter than n, and a word either way
+        self.forward = [_or_tables([bit[p + (a,)] for p in nodes], self.node_half) for a in letters]
 
     def language(self, bits: int) -> FiniteLanguage:
         return FiniteLanguage(
@@ -293,7 +280,7 @@ class _PoolView:
         self.alphabet = trie.alphabet
         self.members = members
         self.full_mask = _or_lookup(trie.live, members, trie.half)
-        self._word_bits = members << trie.n_nodes
+        self._word_bits = members << 1
 
     def step_letter(self, mask: int, a: int) -> int:
         trie = self.trie
@@ -302,11 +289,9 @@ class _PoolView:
         return (t & self.full_mask) | (1 if t & self._word_bits else 0)
 
     def step_letter_back(self, mask: int, a: int) -> int:
-        trie = self.trie
-        out = _or_lookup(trie.parent[a], mask, trie.node_half)
-        if mask & 1:
-            out |= _or_lookup(trie.root_back[a], self.members, trie.half)
-        return out
+        # S's non-root nodes as pool words, and every member if S holds the root
+        words = mask >> 1 | (self.members if mask & 1 else 0)
+        return _or_lookup(self.trie.up[a], words, self.trie.half)
 
 
 def _class_pool(class_tag: str, n: int, d: int, instance_cap: int) -> _PoolTrie:

@@ -27,9 +27,10 @@ class Alphabet:
         if not self.symbols:
             raise ParseError("alphabet must be nonempty")
         for s in self.symbols:
-            # Word.parse could not read such a symbol back
-            if not isinstance(s, str) or not s or s == "ε" or any(c.isspace() for c in s):
-                raise ParseError(f"symbol {s!r} must be a nonempty string without whitespace, not ε")
+            # Word.parse could not read such a symbol back, nor the text
+            # format, where "#" starts a comment
+            if not isinstance(s, str) or not s or s == "ε" or "#" in s or any(c.isspace() for c in s):
+                raise ParseError(f"symbol {s!r} must be a nonempty string without whitespace or '#', not ε")
         if len(set(self.symbols)) != len(self.symbols):
             raise ParseError(f"duplicate symbols in alphabet {self.symbols!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
@@ -275,6 +276,22 @@ def parse_language(text: str) -> FiniteLanguage:
     return FiniteLanguage(alphabet, tuple(Word.parse(s, alphabet) for s in lines))
 
 
+def _json_list(data: dict, key: str) -> list:
+    """``data[key]`` of a JSON input, which must be a list."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a JSON list, not {value!r}")
+    return value
+
+
+def _json_int(value) -> int:
+    """An index or state of a JSON input, which must be an integer (JSON
+    true and false read as Python bools, which are ints too)."""
+    if type(value) is not int:
+        raise ParseError(f"{value!r} must be a JSON integer")
+    return value
+
+
 def _parse_language_json(text: str) -> FiniteLanguage:
     try:
         data = json.loads(text)
@@ -282,19 +299,20 @@ def _parse_language_json(text: str) -> FiniteLanguage:
         raise ParseError(f"invalid JSON language file: {e}") from None
     if not isinstance(data, dict) or "words" not in data:
         raise ParseError("JSON language file must be an object with a 'words' key")
-    alphabet = Alphabet(tuple(data["alphabet"])) if "alphabet" in data else None
-    words = data["words"]
-    if alphabet is None:
-        strings = [w for w in words if isinstance(w, str)]
-        if len(strings) != len(words):
+    words = _json_list(data, "words")
+    if "alphabet" not in data:
+        if not all(isinstance(w, str) for w in words):
             raise ParseError("index-form words require an explicit alphabet")
-        return FiniteLanguage.from_strings(strings)
+        return FiniteLanguage.from_strings(words)
+    alphabet = Alphabet(tuple(_json_list(data, "alphabet")))
     out = []
     for w in words:
         if isinstance(w, str):
             out.append(Word.parse(w, alphabet))
+        elif isinstance(w, list):
+            out.append(Word(alphabet, tuple(map(_json_int, w))))
         else:
-            out.append(Word(alphabet, tuple(int(i) for i in w)))
+            raise ParseError(f"word {w!r} must be a string or a list of symbol indices")
     if not out:
         raise ParseError("empty language file")
     return FiniteLanguage(alphabet, tuple(out))

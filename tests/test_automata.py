@@ -13,6 +13,7 @@ from codesync import (
     AutomatonContractError,
     EpsilonNotAllowed,
     FiniteLanguage,
+    ParseError,
     Word,
     accepts,
     automaton_from_json,
@@ -145,6 +146,24 @@ def test_automaton_from_json_rejects_bad_accepting_and_labels():
     for extra in ({"accepting": [5]}, {"accepting": [-1]}, {"labels": ["1"]}):
         with pytest.raises(AutomatonContractError):
             automaton_from_json(json.dumps({**base, **extra}))
+
+
+@pytest.mark.parametrize("extra", [
+    {"states": 2.9},
+    {"states": True, "edges": [[0, 0, 0], [0, 1, 0]]},
+    {"initial": 1.5},
+    {"initial": False},
+    {"alphabet": "ab"},
+    {"edges": [[0, True, 1]]},
+    {"accepting": [True]},
+    {"labels": "12"},
+])
+def test_automaton_from_json_rejects_non_integer_and_non_list_fields(extra):
+    # before, 2.9 states read as 2, and initial 1.5 stayed the accepting state
+    edges = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0]]
+    base = {"states": 2, "alphabet": ["a", "b"], "edges": edges}
+    with pytest.raises(ParseError):
+        automaton_from_json(json.dumps({**base, **extra}))
 
 
 def test_step_forward_examples():
@@ -474,7 +493,7 @@ def test_mask_helpers():
 
 
 def test_step_rejects_foreign_words():
-    from codesync import Alphabet, ParseError
+    from codesync import Alphabet
 
     a = flower_automaton(lang(EXAMPLE_SET))
     foreign = Word.parse("xy", Alphabet.of("x", "y"))

@@ -195,6 +195,26 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["analyze", "/nonexistent/path.lang"]) == 2
 
 
+@pytest.mark.parametrize("content, argv", [
+    (b"\xe9\na\n", ["analyze", "{file}"]),
+    (b'{"alphabet": ["a", "b"], "words": [["x"]]}', ["analyze", "{file}"]),
+    (b'{"alphabet": 5, "words": ["a"]}', ["analyze", "{file}"]),
+    (PREFIX_EXAMPLE.encode(), ["reduce", "{file}", "--trace", "{missing}/x.json"]),
+    (None, ["experiment", "R", "--class", "prefix", "--n", "1", "--d", "2", "--out", "{missing}/r.json"]),
+], ids=["not-utf8", "index-not-int", "alphabet-not-list", "trace-dir-missing", "out-dir-missing"])
+def test_unreadable_input_and_unwritable_output_are_usage_errors(capsys, tmp_path, content, argv):
+    # each escaped as a traceback with exit 1, which means "property false"
+    file = tmp_path / "input.lang"
+    if content is not None:
+        file.write_bytes(content)
+    argv = [a.format(file=file, missing=tmp_path / "missing") for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_resource_cap_exit_code(capsys, tmp_path):
     code = main(
         ["experiment", "R", "--class", "all", "--n", "4", "--d", "2"]

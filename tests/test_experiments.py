@@ -235,7 +235,7 @@ def test_enumeration_keeps_the_argument_names_the_benchmark_binds():
     assert list(params)[:3] == ["class_tag", "n", "d"]
 
 
-@pytest.mark.parametrize("n,d,stride", [(2, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 1), (3, 2, 7)])
+@pytest.mark.parametrize("n,d,stride", [(4, 1, 1), (6, 1, 1), (2, 2, 1), (1, 3, 1), (2, 3, 1), (1, 4, 1), (3, 2, 7)])
 def test_pool_view_steps_as_the_flower(n, d, stride):
     # every mask (every 7th canonical one at (3, 2)): with flower state k
     # relabelled to the k-th live trie node, the view and the flower agree on

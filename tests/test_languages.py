@@ -73,6 +73,23 @@ def test_parse_language_json_strings_and_indices():
     assert x.word_strings() == ["ab", "ba"]
 
 
+@pytest.mark.parametrize("text", [
+    '{"alphabet": 5, "words": ["a"]}',
+    '{"alphabet": "ab", "words": ["ab"]}',
+    '{"words": "ab"}',
+    '{"alphabet": ["a", "b"], "words": "ab"}',
+    '{"alphabet": ["a", "b"], "words": [["x"]]}',
+    '{"alphabet": ["a", "b"], "words": [[true, 0]]}',
+    '{"alphabet": ["a", "b"], "words": [[0, 1.7]]}',
+    '{"alphabet": ["a", "b"], "words": [0]}',
+])
+def test_parse_language_json_rejects_malformed_fields(text):
+    # the alphabet and the words are lists, and an index is a JSON integer;
+    # before, "ab" was split into letters, true read as 1 and 1.7 as 1
+    with pytest.raises(ParseError):
+        parse_language(text)
+
+
 def test_epsilon_representable():
     x = parse_language('{"alphabet": ["a"], "words": [[], [0]]}')
     assert x.contains_epsilon
@@ -106,10 +123,10 @@ def test_word_parse_greedy_multichar_tokens():
     assert word.text == "ba'a"
 
 
-@pytest.mark.parametrize("symbols", [("", "a"), ("a b", "a"), ("ε", "a"), (1, "a")])
+@pytest.mark.parametrize("symbols", [("", "a"), ("a b", "a"), ("ε", "a"), (1, "a"), ("a#", "b")])
 def test_alphabet_rejects_symbols_that_cannot_be_read_back(symbols):
-    # an empty symbol made Word.parse loop forever, ε read as the empty word
-    # and "a b" as two fields
+    # an empty symbol made Word.parse loop forever, ε read as the empty word,
+    # "a b" as two fields, and the text format reads "a#" as a and a comment
     with pytest.raises(ParseError):
         Alphabet(symbols)
 

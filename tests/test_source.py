@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "codesync"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "codesync"
 
 
 def test_no_bare_asserts_in_package():
@@ -79,3 +83,25 @@ def test_internal_invariant_errors_carry_a_payload():
                 missing.append(f"{path.name}:{node.lineno}")
     assert raises > 20
     assert not missing, f"InternalInvariantError without a payload: {missing}"
+
+
+def test_the_test_extra_declares_every_third_party_test_import():
+    """A module imported under ``tests/`` is in the standard library, local
+    (the package or a test module) or named in pyproject's ``test`` extra."""
+    # a text match, since tomllib is not in Python 3.10's standard library
+    extra = re.search(r"^test = \[(.*)\]$", (ROOT / "pyproject.toml").read_text(), re.M)
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+        for req in re.findall(r'"([^"]+)"', extra.group(1))
+    }
+    local = {"codesync"} | {path.stem for path in TESTS.glob("*.py")}
+    imported = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "hypothesis" in third_party and "pytest" in third_party
+    assert third_party <= declared, f"missing from the test extra: {sorted(third_party - declared)}"
