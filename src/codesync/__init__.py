@@ -47,8 +47,6 @@ from .automata import (
     mask_from_states,
     reverse,
     states_from_mask,
-    step_backward,
-    step_forward,
     subset_bfs,
 )
 from .completeness import (

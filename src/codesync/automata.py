@@ -126,6 +126,18 @@ class Automaton:
             mask &= mask - 1
         return out ^ flip
 
+    def step_word(self, mask: int, w: Word, back: bool = False) -> int:
+        """δ(S, w), or δ(S, w⁻¹) = {q : δ(q, w) ∩ S ≠ ∅} when ``back``; both
+        fix S at w = ε."""
+        if w.alphabet != self.alphabet:
+            raise ParseError("word alphabet differs from automaton alphabet")
+        step = self.step_letter_back if back else self.step_letter
+        for a in reversed(w.indices) if back else w.indices:
+            mask = step(mask, a)
+            if not mask:
+                return 0
+        return mask
+
     def edges(self) -> list[tuple[int, int, int]]:
         """Sorted (from, letter, to) triples."""
         out = []
@@ -134,28 +146,6 @@ class Automaton:
                 for t in states_from_mask(self.table[q][a]):
                     out.append((q, a, t))
         return sorted(out)
-
-
-def step_forward(automaton: Automaton, mask: int, w: Word) -> int:
-    """δ(S, w), computed letter by letter; δ(S, ε) = S."""
-    if w.alphabet != automaton.alphabet:
-        raise ParseError("word alphabet differs from automaton alphabet")
-    for a in w.indices:
-        mask = automaton.step_letter(mask, a)
-        if not mask:
-            return 0
-    return mask
-
-
-def step_backward(automaton: Automaton, mask: int, w: Word) -> int:
-    """δ(S, w⁻¹) = {q : δ(q, w) ∩ S ≠ ∅}, the mirror of :func:`step_forward`."""
-    if w.alphabet != automaton.alphabet:
-        raise ParseError("word alphabet differs from automaton alphabet")
-    for a in reversed(w.indices):
-        mask = automaton.step_letter_back(mask, a)
-        if not mask:
-            return 0
-    return mask
 
 
 def reverse(automaton: Automaton) -> Automaton:
@@ -516,5 +506,5 @@ def automaton_from_json(text: str) -> Automaton:
 
 def accepts(automaton: Automaton, w: Word) -> bool:
     """Membership of w in L(A) (paths initial → accepting)."""
-    mask = step_forward(automaton, 1 << automaton.initial, w)
+    mask = automaton.step_word(1 << automaton.initial, w)
     return bool(mask & mask_from_states(automaton.accepting))

@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
         "count": len(x),
         "contains_epsilon": x.contains_epsilon,
         "is_code": code,
-        "is_prefix": is_prefix(x),
+        "is_prefix": is_prefix(core),
         "is_complete": complete,
         "shortest_incompletable": None if witness is None else witness.text,
         "sync_pair_within_budget": None if pair is None else [pair.u.text, pair.v.text],

@@ -15,7 +15,6 @@ from .automata import (
     flower_automaton,
     layered_search,
     states_from_mask,
-    step_forward,
     subset_bfs,
 )
 from .errors import InternalInvariantError, DEFAULT_SUBSET_CAP
@@ -101,7 +100,7 @@ def find_completion(language: FiniteLanguage, w: Word) -> Optional[CompletionWit
     access = _state_words(automaton, back=False)
     coaccess = _state_words(automaton, back=True)
     for p in sorted(range(automaton.n_states), key=lambda q: access[q].sort_key()):
-        image = step_forward(automaton, 1 << p, w)
+        image = automaton.step_word(1 << p, w)
         if not image:
             continue
         r = access[p]
@@ -135,7 +134,7 @@ def left_star_completion(
 
     def expand(mask, key):
         for idx, x in enumerate(codewords):
-            t = step_forward(automaton, mask, x)
+            t = automaton.step_word(mask, x)
             if t:
                 yield t, key + (idx,)
 
@@ -144,7 +143,7 @@ def left_star_completion(
     )
     for level in levels:
         for mask, key in sorted(level.items(), key=lambda item: item[1]):
-            image = step_forward(automaton, mask, w)
+            image = automaton.step_word(mask, w)
             if not image:
                 continue
             y = Word(language.alphabet, tuple(a for i in key for a in codewords[i].indices))

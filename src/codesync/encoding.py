@@ -22,7 +22,6 @@ from .automata import (
     Automaton,
     first_return_language,
     flower_automaton,
-    step_forward,
 )
 from .completeness import is_complete_language, shortest_incompletable
 from .errors import (
@@ -219,8 +218,9 @@ def road_colored_sync_code(
             y = finish(_colored_automaton(base, list(assignment)))
             if y is not None:
                 return y
-        raise NotSynchronizing(
-            "no synchronizing coloring exists; the AGW precondition must have failed"
+        raise InternalInvariantError(
+            "no synchronizing coloring although gcd 1 and Kraft sum 1 hold",
+            {"d": profile.d, "lengths": list(profile.lengths)},
         )
     restarts = _random_colorings(base, random.Random(seed))
     for colored in itertools.islice(restarts, _MAX_COLORING_RESTARTS):
@@ -368,6 +368,7 @@ def reduce_incompletable_to_binary(
     if v is None:
         raise ParseError("X is complete; the incompletable reduction needs an incomplete language")
     u_prefixpart, leftover = h.decode_prefix(v)
+    details = {"language": language.word_strings(), "image_code": y.word_strings(), "v": v.text}
     if len(leftover) == 0:
         u = u_prefixpart
     else:
@@ -376,12 +377,13 @@ def reduce_incompletable_to_binary(
             default=None,
         )
         if extension is None:
-            raise ParseError("decode failure: leftover extends no image word")
+            raise InternalInvariantError("decode failure: leftover extends no image word", details)
         u = u_prefixpart + Word(language.alphabet, (extension,))
     flower = flower_automaton(language)
-    if step_forward(flower, flower.full_mask, u) != 0:
-        raise ParseError(
-            f"decoded word {u.text!r} is completable; the reduction argument failed"
+    if flower.step_word(flower.full_mask, u) != 0:
+        raise InternalInvariantError(
+            f"decoded word {u.text!r} is completable; the reduction argument failed",
+            {**details, "u": u.text},
         )
     m = d.bit_length() - 1  # ⌊log₂ d⌋
     bound = -(-len(v) // m)
@@ -430,8 +432,9 @@ def reduce_sync_to_binary(
     y = road_colored_sync_code(profile, seed=seed)
     h = Encoding.from_code(language.alphabet, y)
     hx = apply_encoding(h, language)
+    details = {"language": language.word_strings(), "image_code": y.word_strings()}
     if not is_complete_language(hx, cap):
-        raise NotComplete("h(X) is incomplete although X and h(A) are complete")
+        raise InternalInvariantError("h(X) is incomplete although X and h(A) are complete", details)
     pair_b = shortest_sync_pair(hx, budget, cap)
     if pair_b is None:
         raise SearchBudgetExceeded(
@@ -439,10 +442,13 @@ def reduce_sync_to_binary(
         )
     u, ru = h.decode_prefix(pair_b.u)
     v, rv = h.decode_prefix(pair_b.v)
+    details["pair"] = [pair_b.u.text, pair_b.v.text]
     if len(ru) or len(rv):
-        raise ParseError("decoded pair is not an image of X* words")
+        raise InternalInvariantError("decoded pair is not an image of X* words", details)
     if not is_sync_pair(language, u, v, cap=cap):
-        raise NotSynchronizing("decoded pair failed verification on X")
+        raise InternalInvariantError(
+            "decoded pair failed verification on X", {**details, "decoded": [u.text, v.text]}
+        )
     min_len = min(len(img) for img in h.images)
     floor_log = (d - 1).bit_length() - 1  # ⌊log₂(d−1)⌋
     if min_len < floor_log:
@@ -526,7 +532,7 @@ def uniform_sync_encoding(
         if tup not in forbidden
     ]
     if len(pool) < d - 2:
-        raise ParseError("uniform pool too small; m computation is broken")
+        raise InternalInvariantError("uniform pool too small; m computation is broken", {"d": d, "m": m})
     images: list[Optional[Word]] = [None] * d
     images[alpha] = special_alpha
     images[beta] = special_beta
@@ -538,7 +544,14 @@ def uniform_sync_encoding(
     hx = apply_encoding(h, language)
     hu, hv = h.apply(pair.u), h.apply(pair.v)
     if not is_sync_pair(hx, hu, hv, cap=cap):
-        raise NotSynchronizing("encoded pair failed verification on h(X)")
+        raise InternalInvariantError(
+            "encoded pair failed verification on h(X)",
+            {
+                "language": language.word_strings(),
+                "images": [img.text for img in images],
+                "pair": [pair.u.text, pair.v.text],
+            },
+        )
     ledger = {
         "m": m,
         "pair_length": pair.total_length,

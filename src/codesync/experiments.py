@@ -591,7 +591,8 @@ def random_complete_sync_codes(
     Instances are random Kraft trees with coprime leaf depths, randomly
     recolored; half of them are reversed into suffix codes so that the sample
     is not purely prefix.  Every instance is re-verified (code, complete,
-    synchronizing) before being returned.
+    synchronizing) before being returned; a failed check is a broken theorem
+    and raises :class:`InternalInvariantError`.
     """
     rng = random.Random(seed)
     out: list[FiniteLanguage] = []
@@ -605,12 +606,16 @@ def random_complete_sync_codes(
         language = first_return_language(colored)
         if len(out) % 2 == 1:
             language = language.reversed()
-        if not is_code(language):
-            continue
-        if not is_complete_language(language, cap):
-            continue
-        if not is_synchronizing_code(language, cap):
-            continue
+        for failure, holds in (
+            ("is not a code", lambda: is_code(language)),
+            ("is incomplete", lambda: is_complete_language(language, cap)),
+            ("does not synchronize", lambda: is_synchronizing_code(language, cap)),
+        ):
+            if not holds():
+                raise InternalInvariantError(
+                    f"a recolored Kraft tree {failure}",
+                    {"words": language.word_strings(), "lengths": list(profile.lengths), "index": len(out)},
+                )
         out.append(language)
     return out
 

@@ -35,8 +35,6 @@ from .automata import (
     layered_search,
     reverse,
     states_from_mask,
-    step_backward,
-    step_forward,
 )
 from .completeness import find_completion, is_complete_language
 from .errors import (
@@ -154,7 +152,7 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
         marked_token += "'"
     extended = automaton.alphabet.extended(marked_token)
 
-    mark_set = step_forward(automaton, automaton.full_mask, u)
+    mark_set = automaton.step_word(automaton.full_mask, u)
     init_bit = 1 << automaton.initial
     table = []
     for q in range(automaton.n_states):
@@ -248,8 +246,8 @@ def extract_w(automaton: Automaton, v1: Word, v: Word) -> tuple[Word, Word, Word
     u, a = v1[:-1], v1.indices[-1]
 
     full = automaton.full_mask
-    q_u1 = step_forward(automaton, full, u1)
-    q_u = step_forward(automaton, full, u)
+    q_u1 = automaton.step_word(full, u1)
+    q_u = automaton.step_word(full, u)
     if q_u1 & ~q_u:
         raise InternalInvariantError(
             "minimality inclusion δ(Q,u₁) ⊆ δ(Q,u) failed; v was not minimal",
@@ -263,8 +261,8 @@ def extract_w(automaton: Automaton, v1: Word, v: Word) -> tuple[Word, Word, Word
             },
         )
     w1 = u1 + Word(automaton.alphabet, (a,))
-    q_w1 = step_forward(automaton, full, w1)
-    q_v1 = step_forward(automaton, full, v1)
+    q_w1 = automaton.step_word(full, w1)
+    q_v1 = automaton.step_word(full, v1)
     if q_w1 & ~q_v1:
         raise InternalInvariantError(
             "inclusion Qw₁ ⊆ Qv₁ failed after the split",
@@ -306,7 +304,7 @@ def half_reduction(
 
     # extract_w checked Qw ⊆ Qv₁; only the right side crosses the reversal
     full = base.full_mask
-    if side == "right" and step_backward(base, full, w) & ~step_backward(base, full, v_side):
+    if side == "right" and base.step_word(full, w, back=True) & ~base.step_word(full, v_side, back=True):
         raise InternalInvariantError(
             "half reduction output failed its inclusion check",
             {"side": side, "w": w.text, "v_side": v_side.text},
@@ -384,7 +382,7 @@ def synchronizing_pair_via_reduction(
     prefix_pair = None
     if is_prefix(language) and len(pair.v) == 0:
         base = flower_automaton(language)
-        if step_forward(base, base.full_mask, w1) == 1 << base.initial:
+        if base.step_word(base.full_mask, w1) == 1 << base.initial:
             if not kleene_membership(language, w1):
                 raise InternalInvariantError(
                     "Qw₁ = {1} but w₁ ∉ X*", {"w1": w1.text}

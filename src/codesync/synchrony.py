@@ -29,8 +29,6 @@ from .automata import (
     flower_automaton,
     is_deterministic,
     layered_search,
-    step_backward,
-    step_forward,
     subset_bfs,
 )
 from .errors import (
@@ -59,30 +57,21 @@ class SyncPair:
         return len(self.u) + len(self.v)
 
 
-def _family(language: FiniteLanguage, back: bool, cap: int) -> tuple[int, ...]:
-    """The nonempty subsets δ(1, w) (δ(1, w⁻¹) when ``back``) over all words w
-    on the flower automaton, memoized on the language."""
-    key = ("family", back)
-    family = language._memo.get(key)
-    if family is None:
-        automaton = flower_automaton(language)
-        order, _ = subset_bfs(
-            automaton, 1 << automaton.initial, back=back, cap=cap, what="subset family closure"
-        )
-        family = language._memo[key] = tuple(order)
-    elif len(family) > cap:
-        raise SubsetCapExceeded(cap, "subset family closure")
-    return family
-
-
 def _context_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tuple[int, ...], tuple[int, ...]]:
     """Flower automaton plus the families {δ(1,r)} and {T_s} used by the
-    general checker and the constant test."""
-    return (
-        flower_automaton(language),
-        _family(language, False, cap),
-        _family(language, True, cap),
-    )
+    general checker and the constant test: the nonempty subsets δ(1, w) and
+    δ(1, w⁻¹) over all words w, memoized on the language."""
+    automaton = flower_automaton(language)
+    families = language._memo.get("families")
+    if families is None:
+        start = 1 << automaton.initial
+        families = language._memo["families"] = tuple(
+            tuple(subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")[0])
+            for back in (False, True)
+        )
+    elif max(map(len, families)) > cap:
+        raise SubsetCapExceeded(cap, "subset family closure")
+    return (automaton, *families)
 
 
 def _check_in_star(language: FiniteLanguage, w: Word, name: str) -> None:
@@ -92,8 +81,8 @@ def _check_in_star(language: FiniteLanguage, w: Word, name: str) -> None:
 
 def _code_pair_check(automaton: Automaton, u: Word, v: Word) -> bool:
     full = automaton.full_mask
-    qu = step_forward(automaton, full, u)
-    qv_back = step_backward(automaton, full, v)
+    qu = automaton.step_word(full, u)
+    qv_back = automaton.step_word(full, v, back=True)
     return qu & qv_back == 1 << automaton.initial
 
 
@@ -103,7 +92,7 @@ def _general_pair_check(
     # For fixed v the T-quantifier collapses: some T meets a set S iff S meets
     # the union of those T, so two union masks decide every S at once.
     init = 1 << automaton.initial
-    d1v = step_forward(automaton, init, v)
+    d1v = automaton.step_word(init, v)
     union_all = 0
     union_bad = 0  # states covered by contexts T with δ(1,v) ∩ T = ∅
     for t_mask in bwd:
@@ -111,8 +100,8 @@ def _general_pair_check(
         if not d1v & t_mask:
             union_bad |= t_mask
     for s_mask in fwd:
-        su = step_forward(automaton, s_mask, u)
-        suv = step_forward(automaton, su, v)
+        su = automaton.step_word(s_mask, u)
+        suv = automaton.step_word(su, v)
         blocked = union_bad if su & init else union_all
         if suv & blocked:
             return False
@@ -164,7 +153,7 @@ def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP
     the caller's concern (the constant/pair dualities need c ∈ X*).
     """
     automaton, fwd, bwd = _context_families(language, cap)
-    images = {s: step_forward(automaton, s, c) for s in fwd}
+    images = {s: automaton.step_word(s, c) for s in fwd}
     rows = [s for s in fwd if any(images[s] & t for t in bwd)]
     cols = [t for t in bwd if any(images[s] & t for s in fwd)]
     return all(images[s] & t for s in rows for t in cols)

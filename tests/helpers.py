@@ -467,7 +467,7 @@ def left_star_completion_reference(language: FiniteLanguage, word: Word):
     subsets δ(1, y), y a codeword concatenation, with parent pointers; the
     first dequeued subset S with δ(S, w) ≠ ∅ is closed with the least
     co-access word of its image."""
-    from codesync import CompletionWitness, flower_automaton, states_from_mask, step_forward
+    from codesync import CompletionWitness, flower_automaton, states_from_mask
 
     automaton = flower_automaton(language)
     coaccess = coaccess_words_reference(automaton)
@@ -486,7 +486,7 @@ def left_star_completion_reference(language: FiniteLanguage, word: Word):
     while head < len(queue):
         s_mask = queue[head]
         head += 1
-        image = step_forward(automaton, s_mask, word)
+        image = automaton.step_word(s_mask, word)
         if image:
             q = min(
                 states_from_mask(image),

@@ -32,8 +32,6 @@ from codesync import (
     mask_from_states,
     reverse,
     states_from_mask,
-    step_backward,
-    step_forward,
 )
 from codesync.synchrony import cerny_family
 
@@ -169,10 +167,10 @@ def test_automaton_from_json_rejects_non_integer_and_non_list_fields(extra):
 def test_step_forward_examples():
     x = lang(EXAMPLE_PREFIX)
     a = flower_automaton(x)
-    image = step_forward(a, a.full_mask, w("aa"))
+    image = a.step_word(a.full_mask, w("aa"))
     assert {a.labels[q] for q in states_from_mask(image)} == {"1", "baa"}
-    assert step_forward(a, 0, w("ab")) == 0
-    assert step_forward(a, a.full_mask, Word.epsilon(BINARY)) == a.full_mask
+    assert a.step_word(0, w("ab")) == 0
+    assert a.step_word(a.full_mask, Word.epsilon(BINARY)) == a.full_mask
 
 
 def test_step_backward_examples():
@@ -185,12 +183,12 @@ def test_step_backward_examples():
         if letter == a.alphabet.index("b") and t == 0
     }
     assert expected == {"b", "ba", "baa"}
-    image = step_backward(a, 1, w("b"))
+    image = a.step_word(1, w("b"), back=True)
     assert {a.labels[q] for q in states_from_mask(image)} == expected
 
     single = flower_automaton(lang(["a"]))
-    assert step_backward(single, 1, Word.parse("a", single.alphabet)) == 1
-    assert step_backward(a, 0, w("ab")) == 0
+    assert single.step_word(1, Word.parse("a", single.alphabet), back=True) == 1
+    assert a.step_word(0, w("ab"), back=True) == 0
 
 
 def test_step_adjointness_random():
@@ -201,8 +199,8 @@ def test_step_adjointness_random():
             word = Word(BINARY, tuple(rng.randrange(2) for _ in range(rng.randrange(4))))
             s = rng.randrange(1 << a.n_states)
             t = rng.randrange(1 << a.n_states)
-            lhs = bool(step_forward(a, s, word) & t)
-            rhs = bool(s & step_backward(a, t, word))
+            lhs = bool(a.step_word(s, word) & t)
+            rhs = bool(s & a.step_word(t, word, back=True))
             assert lhs == rhs
 
 
@@ -498,6 +496,6 @@ def test_step_rejects_foreign_words():
     a = flower_automaton(lang(EXAMPLE_SET))
     foreign = Word.parse("xy", Alphabet.of("x", "y"))
     with pytest.raises(ParseError):
-        step_forward(a, a.full_mask, foreign)
+        a.step_word(a.full_mask, foreign)
     with pytest.raises(ParseError):
-        step_backward(a, a.full_mask, foreign)
+        a.step_word(a.full_mask, foreign, back=True)

@@ -40,6 +40,24 @@ def test_analyze(capsys, example_file):
     assert data["sync_pair_within_budget"] == ["ε", "abba"]
 
 
+def test_analyze_reads_the_epsilon_free_core(capsys, tmp_path):
+    """Every property is that of {a, ba, bb}, the core without ε."""
+    p = tmp_path / "eps.lang"
+    p.write_text("ε\na\nba\nbb\n")
+    code, data = run_json(capsys, ["analyze", str(p), "--json"])
+    assert code == 0
+    assert data["contains_epsilon"] is True
+    assert data["is_code"] is True and data["is_prefix"] is True
+
+
+def test_analyze_only_epsilon_is_degenerate(capsys, tmp_path):
+    p = tmp_path / "eps.lang"
+    p.write_text("alphabet: a b\nε\n")
+    code, data = run_json(capsys, ["analyze", str(p), "--json"])
+    assert code == 0
+    assert data == {"words": ["ε"], "degenerate": "only ε"}
+
+
 def test_incompletable_found(capsys, example_file):
     code, data = run_json(capsys, ["incompletable", example_file, "--max-len", "7", "--json"])
     assert code == 0

@@ -18,7 +18,6 @@ from codesync import (
     kleene_membership,
     left_star_completion,
     shortest_incompletable,
-    step_forward,
 )
 from codesync.completeness import _incompletable_word, _state_words
 from codesync.errors import DEFAULT_SUBSET_CAP
@@ -148,7 +147,7 @@ def test_state_words_and_witnesses_match_the_references():
                 word = Word(x.alphabet, tup)
                 expected = None
                 for p in by_access:
-                    image = step_forward(a, 1 << p, word)
+                    image = a.step_word(1 << p, word)
                     if image:
                         s = min((coaccess[q] for q in range(a.n_states) if image >> q & 1),
                                 key=Word.sort_key)
@@ -182,7 +181,7 @@ def test_incompletability_is_factor_closed():
         a = flower_automaton(x)
         for left, right in (((0,), ()), ((), (1,)), ((1, 0), (0,))):
             extended = Word(BINARY, left + word.indices + right)
-            assert step_forward(a, a.full_mask, extended) == 0
+            assert a.step_word(a.full_mask, extended) == 0
 
 
 def test_prefix_quadratic_bound_on_corpus():

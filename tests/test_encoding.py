@@ -10,10 +10,14 @@ from codesync import (
     Alphabet,
     Encoding,
     FiniteLanguage,
+    InternalInvariantError,
     LengthProfile,
     NotComplete,
     NotSynchronizing,
     ParseError,
+    SearchBudgetExceeded,
+    SyncPair,
+    Word,
     apply_encoding,
     flower_automaton,
     is_complete_language,
@@ -26,10 +30,10 @@ from codesync import (
     reduce_incompletable_to_binary,
     reduce_sync_to_binary,
     road_colored_sync_code,
-    step_forward,
     sync_word_shortest,
     uniform_sync_encoding,
 )
+from codesync import encoding
 
 from helpers import BINARY, EXAMPLE_SET, lang, random_language_sample, w
 
@@ -85,6 +89,15 @@ def test_road_colored_code_rejects_bad_profiles():
         road_colored_sync_code(LengthProfile(2, (2, 2)))  # gcd 2
     with pytest.raises(NotComplete):
         road_colored_sync_code(LengthProfile(2, (1, 3)))  # sum < 1, gcd 1
+
+
+def test_a_missing_road_coloring_is_an_internal_error(monkeypatch):
+    # gcd 1 and Kraft sum 1 guarantee a synchronizing coloring (road-coloring
+    # theorem); the 3-state profile takes the exhaustive branch
+    monkeypatch.setattr(encoding, "is_synchronizing_dfa", lambda automaton: False)
+    with pytest.raises(InternalInvariantError) as err:
+        road_colored_sync_code(LengthProfile(2, (1, 2, 2)))
+    assert err.value.details == {"d": 2, "lengths": [1, 2, 2]}
 
 
 def test_road_colored_code_1332():
@@ -173,7 +186,7 @@ def test_reduce_incompletable_ternary_singleton():
     assert trace.ledger["ok"]
     assert any(s in u.text for s in ("b", "c"))
     flower = flower_automaton(x)
-    assert step_forward(flower, flower.full_mask, u) == 0
+    assert flower.step_word(flower.full_mask, u) == 0
 
 
 def test_reduce_incompletable_rejects_complete():
@@ -181,6 +194,22 @@ def test_reduce_incompletable_rejects_complete():
     x = FiniteLanguage.from_strings(["a", "b", "c"], abc)
     with pytest.raises(ParseError):
         reduce_incompletable_to_binary(x)
+
+
+def test_incompletable_reduction_failures_are_internal_errors(monkeypatch):
+    abc = Alphabet.of("a", "b", "c")
+    x = FiniteLanguage.from_strings(["a", "b"], abc)
+    # ε decodes to ε, which is completable in X
+    monkeypatch.setattr(encoding, "shortest_incompletable", lambda hx, cap: Word.epsilon(BINARY))
+    with pytest.raises(InternalInvariantError) as err:
+        reduce_incompletable_to_binary(x)
+    assert err.value.details["u"] == "ε"
+    # an incomplete image code leaves a leftover that extends no image word
+    monkeypatch.undo()
+    monkeypatch.setattr(encoding, "kraft_canonical", lambda profile: lang(["aa", "ab", "ba"]))
+    with pytest.raises(InternalInvariantError) as err:
+        reduce_incompletable_to_binary(x)
+    assert err.value.details == {"language": ["a", "b"], "image_code": ["aa", "ab", "ba"], "v": "bb"}
 
 
 def test_reduce_incompletable_ledger_batch():
@@ -195,7 +224,7 @@ def test_reduce_incompletable_ledger_batch():
         u, trace = reduce_incompletable_to_binary(x)
         assert trace.ledger["ok"], x.word_strings()
         flower = flower_automaton(x)
-        assert step_forward(flower, flower.full_mask, u) == 0
+        assert flower.step_word(flower.full_mask, u) == 0
         checked += 1
 
 
@@ -229,6 +258,37 @@ def test_reduce_sync_transfer_checks():
     assert is_synchronizing_code(trace.encoded_language)
 
 
+def test_sync_reduction_failures_are_internal_errors(monkeypatch):
+    abc = Alphabet.of("a", "b", "c")
+    x = FiniteLanguage.from_strings(["a", "b", "ca", "cb", "cc"], abc)
+    y = road_colored_sync_code(length_profile_general(3))
+    # a one-letter binary word outside the image code decodes with a leftover
+    stray = next(s for s in ("a", "b") if s not in y.word_strings())
+
+    def first_word_only(h, language):  # h(X) is then incomplete
+        return apply_encoding(h, FiniteLanguage(language.alphabet, language.words[:1]))
+
+    cases = [
+        ("apply_encoding", first_word_only, "incomplete"),
+        ("shortest_sync_pair", lambda hx, budget, cap: SyncPair(w(stray), Word.epsilon(BINARY)), "not an image"),
+        ("is_sync_pair", lambda *args, **kwargs: False, "verification on X"),
+    ]
+    for name, fake, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(encoding, name, fake)
+            with pytest.raises(InternalInvariantError, match=message) as err:
+                reduce_sync_to_binary(x)
+        assert err.value.details["language"] == x.word_strings()
+        assert err.value.details["image_code"] == y.word_strings()
+
+
+def test_a_failed_uniform_pair_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(encoding, "is_sync_pair", lambda *args, **kwargs: False)
+    with pytest.raises(InternalInvariantError) as err:
+        uniform_sync_encoding(lang(EXAMPLE_SET))
+    assert err.value.details["language"] == lang(EXAMPLE_SET).word_strings()
+
+
 def test_uniform_encoding_on_example_set():
     x = lang(EXAMPLE_SET)
     pair, trace = uniform_sync_encoding(x)
@@ -259,7 +319,7 @@ def test_uniform_encoding_ledger_is_exact_on_batch():
             continue
         try:
             pair, trace = uniform_sync_encoding(x, budget=4)
-        except Exception:
+        except SearchBudgetExceeded:
             continue  # no adjacency-compatible pair within budget
         if pair is None:
             continue

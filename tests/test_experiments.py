@@ -483,6 +483,23 @@ def test_random_complete_sync_codes_are_pinned():
     assert digest == "23df4ec9ef03ef2bbe2257df4e9ac597064ccca2d62df873549e9c97b0add2f7"
 
 
+def test_random_complete_sync_codes_raise_on_a_failed_recheck(monkeypatch):
+    """A re-verification that fails is a broken theorem: it raises with the
+    instance instead of dropping it and shifting the seeded corpus."""
+    calls = []
+    real = experiments.is_synchronizing_code
+
+    def first_fails(language, cap):
+        calls.append(language)
+        return len(calls) > 1 and real(language, cap)
+
+    monkeypatch.setattr(experiments, "is_synchronizing_code", first_fails)
+    with pytest.raises(InternalInvariantError) as err:
+        random_complete_sync_codes(3, seed=4, max_size=4)
+    assert err.value.details["words"] == calls[0].word_strings()
+    assert err.value.details["index"] == 0
+
+
 def test_sync_complete_codes_have_kraft_one_and_coprime_lengths():
     # every finite synchronizing complete code must satisfy both conditions
     from fractions import Fraction

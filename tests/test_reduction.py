@@ -21,8 +21,6 @@ from codesync import (
     kleene_membership,
     shortest_incompletable_min_marked,
     shortest_sync_pair,
-    step_backward,
-    step_forward,
     synchronizing_pair_via_reduction,
 )
 from codesync.errors import ParseError
@@ -306,7 +304,7 @@ def test_half_reduction_left_inclusion():
     assert w1.text == "aaa"
     base = flower_automaton(x)
     full = base.full_mask
-    assert step_forward(base, full, w1) & ~step_forward(base, full, w("aaa")) == 0
+    assert base.step_word(full, w1) & ~base.step_word(full, w("aaa")) == 0
     assert record.incompletable.text == "aaa'"
     assert record.y_language is not None and record.y_language.size <= x.size
 
@@ -331,7 +329,7 @@ def test_half_reduction_right_side_on_suffix_code():
         exercised += 1
         base = flower_automaton(x)
         full = base.full_mask
-        assert step_backward(base, full, word) & ~step_backward(base, full, pair.v) == 0
+        assert base.step_word(full, word, back=True) & ~base.step_word(full, pair.v, back=True) == 0
     assert exercised > 0
 
 

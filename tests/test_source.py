@@ -25,7 +25,7 @@ def test_no_bare_asserts_in_package():
 
 def test_only_the_kernels_raise_the_subset_cap():
     """Searches get their cap from ``subset_bfs`` or ``layered_search``; the
-    memoized families re-check a smaller cap in ``_family``."""
+    memoized families re-check a smaller cap in ``_context_families``."""
     raisers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -41,7 +41,7 @@ def test_only_the_kernels_raise_the_subset_cap():
     assert raisers == {
         "automata.subset_bfs",
         "automata.layered_search",
-        "synchrony._family",
+        "synchrony._context_families",
     }
 
 
