@@ -10,7 +10,7 @@ labelling paths from state 0 back into its accepting set, which by default is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
@@ -150,14 +150,7 @@ class Automaton:
 
 def reverse(automaton: Automaton) -> Automaton:
     """Edge-reversed automaton; accepts the mirror language."""
-    return Automaton(
-        n_states=automaton.n_states,
-        alphabet=automaton.alphabet,
-        table=tuple(zip(*automaton._rev_rows)),
-        initial=automaton.initial,
-        accepting=automaton.accepting,
-        labels=automaton.labels,
-    )
+    return replace(automaton, table=tuple(zip(*automaton._rev_rows)))
 
 
 def flower_automaton(language: FiniteLanguage) -> Automaton:

@@ -32,7 +32,7 @@ from .encoding import (
     uniform_sync_encoding,
 )
 from .experiments import CSV_HEADER, estimate_C, estimate_R, CLASS_TAGS
-from .languages import Word, is_code, is_prefix, parse_language
+from .languages import FiniteLanguage, Word, is_code, is_prefix, parse_language
 from .reduction import synchronizing_pair_via_reduction
 from .synchrony import (
     SyncPair,
@@ -64,6 +64,12 @@ def _write(path: str, text: str) -> None:
         raise CodesyncError(f"cannot write {path}: {e}") from None
 
 
+def _core(x: FiniteLanguage) -> FiniteLanguage:
+    """X without ε.  ε adds nothing to X*, so completeness, incompletable
+    words and synchronizing pairs are those of this ε-free core."""
+    return FiniteLanguage(x.alphabet, x.words[1:]) if x.contains_epsilon else x
+
+
 def _emit(args, data: dict, text: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(data, indent=2))
@@ -73,13 +79,7 @@ def _emit(args, data: dict, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     x = _load_language(args.language)
-    # ε contributes nothing to factors or factorizations; analyze the ε-free
-    # part and keep the degenerate flag visible
-    core = x
-    if x.contains_epsilon:
-        from .languages import FiniteLanguage
-
-        core = FiniteLanguage(x.alphabet, tuple(w for w in x.words if len(w)))
+    core = _core(x)  # keep the degenerate flag visible
     if len(core) == 0:
         _emit(
             args,
@@ -122,7 +122,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_incompletable(args) -> int:
-    x = _load_language(args.language)
+    x = _core(_load_language(args.language))
     w = shortest_incompletable(x)
     if args.max_len is not None:
         # brute force only sees lengths ≤ max_len, so compare the search's answer cut there
@@ -142,7 +142,7 @@ def cmd_incompletable(args) -> int:
 
 
 def cmd_syncpair(args) -> int:
-    x = _load_language(args.language)
+    x = _core(_load_language(args.language))
     if args.check:
         u = Word.parse(args.check[0], x.alphabet)
         v = Word.parse(args.check[1], x.alphabet)
@@ -220,7 +220,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    x = _load_language(args.language)
+    x = _core(_load_language(args.language))
     if args.mode == "uniform":
         pair, trace = uniform_sync_encoding(x)
     elif args.mode == "power2":

@@ -14,9 +14,9 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .automata import (
     Automaton,
@@ -131,44 +131,33 @@ def kraft_canonical(profile: LengthProfile) -> FiniteLanguage:
 
 
 def _out_multisets(automaton: Automaton) -> list[list[int]]:
-    """Per-state sorted multiset of transition targets (labels ripped off)."""
-    out = []
-    for q in range(automaton.n_states):
-        targets = []
-        for a in range(len(automaton.alphabet)):
-            m = automaton.table[q][a]
-            if m.bit_count() != 1:
-                raise InternalInvariantError("canonical automaton is not a DFA", {"state": q})
-            targets.append(m.bit_length() - 1)
-        out.append(sorted(targets))
-    return out
-
-
-def _colored_automaton(base: Automaton, assignment: list[tuple[int, ...]]) -> Automaton:
-    d = len(base.alphabet)
-    table = tuple(
-        tuple(1 << assignment[q][a] for a in range(d)) for q in range(base.n_states)
-    )
-    return Automaton(
-        n_states=base.n_states,
-        alphabet=base.alphabet,
-        table=table,
-        initial=base.initial,
-        accepting=base.accepting,
-    )
+    """Per-state sorted multiset of transition targets as one-state masks
+    (labels ripped off)."""
+    if not all(automaton._total):
+        partial = [a for a, total in enumerate(automaton._total) if not total]
+        raise InternalInvariantError("canonical automaton is not a DFA", {"letters": partial})
+    return [sorted(row) for row in automaton.table]
 
 
 def _random_colorings(base: Automaton, rng: random.Random) -> Iterator[Automaton]:
     """Endless seeded recolorings of ``base``: each draw shuffles every state's
-    out-multiset in state order, one ``rng.shuffle`` per state."""
+    out-multiset in state order, one ``rng.shuffle`` per state.  A coloring
+    keeps the base's initial and accepting states but not its labels, which
+    name the prefixes of the base's code."""
     multisets = _out_multisets(base)
     while True:
-        assignment = []
+        table = []
         for ms in multisets:
             perm = list(ms)
             rng.shuffle(perm)
-            assignment.append(tuple(perm))
-        yield _colored_automaton(base, assignment)
+            table.append(tuple(perm))
+        yield replace(base, table=tuple(table), labels=None)
+
+
+def _first_sync_code(colorings: Iterable[Automaton]) -> Optional[FiniteLanguage]:
+    """The first-return code of the first synchronizing coloring, or None."""
+    colored = next((c for c in colorings if is_synchronizing_dfa(c)), None)
+    return None if colored is None else first_return_language(colored)
 
 
 _EXHAUSTIVE_COLORING_LIMIT = 12  # states up to which every coloring is tried
@@ -194,42 +183,30 @@ def road_colored_sync_code(
         )
     if not profile.is_complete:
         raise NotComplete(f"Kraft sum {profile.kraft_sum} ≠ 1")
-    base_code = kraft_canonical(profile)
-    base = flower_automaton(base_code)
-    multisets = _out_multisets(base)
-    requested = sorted(profile.lengths)
-
-    def finish(colored: Automaton) -> Optional[FiniteLanguage]:
-        if not is_synchronizing_dfa(colored):
-            return None
-        y = first_return_language(colored)
-        details = {"words": y.word_strings()}
-        if not is_prefix(y) or sorted(len(w) for w in y.words) != requested:
-            raise InternalInvariantError("colored code lost the prefix profile", details)
-        if not is_complete_language(y):
-            raise InternalInvariantError("colored code is incomplete", details)
-        return y
-
+    base = flower_automaton(kraft_canonical(profile))
     if base.n_states <= _EXHAUSTIVE_COLORING_LIMIT:
-        per_state = [
-            sorted(set(itertools.permutations(ms))) for ms in multisets
-        ]
-        for assignment in itertools.product(*per_state):
-            y = finish(_colored_automaton(base, list(assignment)))
-            if y is not None:
-                return y
-        raise InternalInvariantError(
-            "no synchronizing coloring although gcd 1 and Kraft sum 1 hold",
-            {"d": profile.d, "lengths": list(profile.lengths)},
+        per_state = [sorted(set(itertools.permutations(ms))) for ms in _out_multisets(base)]
+        y = _first_sync_code(
+            replace(base, table=table, labels=None) for table in itertools.product(*per_state)
         )
-    restarts = _random_colorings(base, random.Random(seed))
-    for colored in itertools.islice(restarts, _MAX_COLORING_RESTARTS):
-        y = finish(colored)
-        if y is not None:
-            return y
-    raise SearchBudgetExceeded(
-        f"no synchronizing coloring found in {_MAX_COLORING_RESTARTS} seeded restarts"
-    )
+        if y is None:
+            raise InternalInvariantError(
+                "no synchronizing coloring although gcd 1 and Kraft sum 1 hold",
+                {"d": profile.d, "lengths": list(profile.lengths)},
+            )
+    else:
+        restarts = _random_colorings(base, random.Random(seed))
+        y = _first_sync_code(itertools.islice(restarts, _MAX_COLORING_RESTARTS))
+        if y is None:
+            raise SearchBudgetExceeded(
+                f"no synchronizing coloring found in {_MAX_COLORING_RESTARTS} seeded restarts"
+            )
+    details = {"words": y.word_strings()}
+    if not is_prefix(y) or sorted(len(w) for w in y.words) != sorted(profile.lengths):
+        raise InternalInvariantError("colored code lost the prefix profile", details)
+    if not is_complete_language(y):
+        raise InternalInvariantError("colored code is incomplete", details)
+    return y
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional
 
-from .automata import first_return_language, flower_automaton
+from .automata import flower_automaton
 from .completeness import _incompletable_word, is_complete_language, shortest_incompletable
 from .errors import (
     CodesyncError,
@@ -28,14 +28,13 @@ from .errors import (
     DEFAULT_INSTANCE_CAP,
     DEFAULT_SUBSET_CAP,
 )
-from .encoding import LengthProfile, _random_colorings, kraft_canonical
+from .encoding import LengthProfile, _first_sync_code, _random_colorings, kraft_canonical
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import (
     _code_sync_pair,
     _one_sided_pair,
     is_synchronizing_code,
-    is_synchronizing_dfa,
     shortest_sync_pair,
 )
 
@@ -391,18 +390,25 @@ def sample_class_languages(
 
     Uniform random languages are essentially never complete, so the complete
     classes sample Kraft trees instead of rejection-filtering the uniform
-    distribution.
+    distribution.  Such a draw is a complete code by theorem, so one outside
+    its class raises :class:`InternalInvariantError`.
     """
     rng = random.Random(seed)
     complete_class = class_tag in ("complete-codes", "complete-prefix")
-    for _ in range(samples):
-        for _ in range(_MAX_DRAWS_PER_SAMPLE):
-            if complete_class:
-                language = _random_complete_instance(
-                    rng, n, d, allow_reverse=class_tag == "complete-codes"
+    for index in range(samples):
+        if complete_class:
+            language = _random_complete_instance(
+                rng, n, d, allow_reverse=class_tag == "complete-codes"
+            )
+            if not _in_class(language, class_tag, cap):
+                raise InternalInvariantError(
+                    f"a letter-permuted Kraft tree is not in {class_tag}",
+                    {"words": language.word_strings(), "class": class_tag, "index": index},
                 )
-            else:
-                language = random_language(rng, n, d)
+            yield language
+            continue
+        for _ in range(_MAX_DRAWS_PER_SAMPLE):
+            language = random_language(rng, n, d)
             if _in_class(language, class_tag, cap):
                 yield language
                 break
@@ -599,11 +605,9 @@ def random_complete_sync_codes(
     while len(out) < count:
         profile = LengthProfile(2, random_tree_profile(rng, max_size))
         base = flower_automaton(kraft_canonical(profile))
-        colorings = itertools.islice(_random_colorings(base, rng), 64)
-        colored = next((c for c in colorings if is_synchronizing_dfa(c)), None)
-        if colored is None:
+        language = _first_sync_code(itertools.islice(_random_colorings(base, rng), 64))
+        if language is None:
             continue
-        language = first_return_language(colored)
         if len(out) % 2 == 1:
             language = language.reversed()
         for failure, holds in (

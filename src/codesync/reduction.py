@@ -21,7 +21,7 @@ yields the synchronizing pair (r·w₁, w₂·s), whose total length is at most
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -163,14 +163,7 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
         else:
             row.append(image | init_bit)
         table.append(tuple(row))
-    aprime = Automaton(
-        n_states=automaton.n_states,
-        alphabet=extended,
-        table=tuple(table),
-        initial=automaton.initial,
-        accepting=automaton.accepting,
-        labels=automaton.labels,
-    )
+    aprime = replace(automaton, alphabet=extended, table=tuple(table))
     if not is_transitive(aprime):
         raise InternalInvariantError("the marked automaton is not transitive", {"v1": v1.text})
     return aprime

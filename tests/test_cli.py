@@ -58,6 +58,32 @@ def test_analyze_only_epsilon_is_degenerate(capsys, tmp_path):
     assert data == {"words": ["ε"], "degenerate": "only ε"}
 
 
+EPSILON_CORE = "ε\na\nba\nbb\n"
+TERNARY_EPSILON_CORE = "alphabet: a b c\nε\na\nb\nca\ncb\ncc\n"
+
+
+@pytest.mark.parametrize("content, argv, exit_code, expected", [
+    (EPSILON_CORE, ["incompletable"], 1, {"complete": True, "witness": None}),
+    (EPSILON_CORE, ["syncpair"], 0, {"pair": ["a", "ε"], "total_length": 1, "checked_by": "code"}),
+    (EPSILON_CORE, ["syncpair", "--check", "a", "ε"], 0, {"pair": ["a", "ε"], "synchronizing": True}),
+    (TERNARY_EPSILON_CORE, ["encode"], 0, {"kind": "synchronizing", "decoded": ["a", "ε"]}),
+], ids=["incompletable", "syncpair", "syncpair-check", "encode"])
+def test_verbs_read_the_epsilon_free_core(capsys, tmp_path, content, argv, exit_code, expected):
+    """ε adds nothing to X*, so these verbs answer for X without ε."""
+    p = tmp_path / "eps.lang"
+    p.write_text(content)
+    code, data = run_json(capsys, [argv[0], str(p), *argv[1:], "--json"])
+    assert code == exit_code
+    assert {key: data[key] for key in expected} == expected
+
+
+def test_reduce_refuses_epsilon(capsys, tmp_path):
+    p = tmp_path / "eps.lang"
+    p.write_text(EPSILON_CORE)
+    assert main(["reduce", str(p)]) == 2
+    assert "ε ∈ X is not a valid code candidate" in capsys.readouterr().err
+
+
 def test_incompletable_found(capsys, example_file):
     code, data = run_json(capsys, ["incompletable", example_file, "--max-len", "7", "--json"])
     assert code == 0

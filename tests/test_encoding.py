@@ -134,6 +134,38 @@ def test_road_coloring_preserves_out_multisets():
         assert sorted(map(tuple, _out_multisets(base))) == sorted(
             map(tuple, _out_multisets(recolored))
         )
+    # a flower that is not a DFA has no coloring to search
+    with pytest.raises(InternalInvariantError) as err:
+        _out_multisets(flower_automaton(lang(["a", "ab", "b"])))
+    assert err.value.details == {"letters": [0]}
+
+
+def test_derived_automata_keep_or_drop_the_base_fields(monkeypatch):
+    """The reversal and A′ keep initial, accepting and labels; a coloring keeps
+    initial and accepting but drops the labels, which name the base's prefixes."""
+    from dataclasses import replace
+
+    from codesync import build_aprime, reverse
+
+    real_flower = encoding.flower_automaton
+    profile = LengthProfile(2, (1, 2, 3, 3))  # a 3-state flower with 4 colorings
+    base = replace(real_flower(kraft_canonical(profile)), initial=1, accepting=frozenset({1}))
+    for derived in (reverse(base), build_aprime(base, w("ab"))):
+        assert (derived.initial, derived.accepting, derived.labels) == (1, base.accepting, base.labels)
+
+    def moved(code):
+        return replace(real_flower(code), initial=1, accepting=frozenset({1, 2}))
+
+    restarts = encoding._random_colorings(moved(kraft_canonical(profile)), random.Random(0))
+    colorings = list(itertools.islice(restarts, 20))
+    # the exhaustive branch offers every coloring when none synchronizes
+    monkeypatch.setattr(encoding, "flower_automaton", moved)
+    monkeypatch.setattr(encoding, "is_synchronizing_dfa", lambda a: colorings.append(a) and False)
+    with pytest.raises(InternalInvariantError):
+        road_colored_sync_code(profile)
+    assert len(colorings) == 20 + 4  # the restarts, then the exhaustive branch
+    for colored in colorings:
+        assert (colored.initial, colored.accepting, colored.labels) == (1, frozenset({1, 2}), None)
 
 
 def test_apply_encoding_examples():

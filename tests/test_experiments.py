@@ -429,6 +429,23 @@ def test_sample_complete_classes_uses_tree_generator():
     assert any(not is_prefix(x) for x in mixed)  # reversed instances appear
 
 
+@pytest.mark.parametrize("tag", ["complete-codes", "complete-prefix"])
+def test_a_complete_class_draw_outside_its_class_raises(monkeypatch, tag):
+    """A letter-permuted Kraft tree is a complete code by theorem: one that
+    fails its class test raises with the draw instead of being redrawn."""
+    calls = []
+    real = experiments._in_class
+
+    def first_fails(language, class_tag, cap):
+        calls.append(language)
+        return len(calls) > 1 and real(language, class_tag, cap)
+
+    monkeypatch.setattr(experiments, "_in_class", first_fails)
+    with pytest.raises(InternalInvariantError) as err:
+        next(sample_class_languages(tag, 3, 2, samples=4, seed=3))
+    assert err.value.details == {"words": calls[0].word_strings(), "class": tag, "index": 0}
+
+
 def test_estimate_C_random_mode_complete_prefix():
     a = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6, budget=8)
     b = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6, budget=8)
