@@ -77,16 +77,21 @@ def _emit(args, data: dict, text: str) -> None:
         print(text)
 
 
+def _degenerate(args, x: FiniteLanguage) -> int:
+    """The report of ``analyze`` and ``syncpair`` on a language holding only ε."""
+    _emit(
+        args,
+        {"words": x.word_strings(), "degenerate": "only ε"},
+        "degenerate language: only the empty word",
+    )
+    return EXIT_OK
+
+
 def cmd_analyze(args) -> int:
     x = _load_language(args.language)
     core = _core(x)  # keep the degenerate flag visible
     if len(core) == 0:
-        _emit(
-            args,
-            {"words": x.word_strings(), "degenerate": "only ε"},
-            "degenerate language: only the empty word",
-        )
-        return EXIT_OK
+        return _degenerate(args, x)
     code = is_code(core)
     complete = is_complete_language(core)
     witness = None if complete else shortest_incompletable(core)
@@ -123,7 +128,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_incompletable(args) -> int:
     x = _core(_load_language(args.language))
-    w = shortest_incompletable(x)
+    # with only ε, X* = {ε} and the least incompletable word is the first letter
+    w = shortest_incompletable(x) if len(x) else Word(x.alphabet, (0,))
     if args.max_len is not None:
         # brute force only sees lengths ≤ max_len, so compare the search's answer cut there
         brute = brute_force_incompletable(x, args.max_len)
@@ -142,7 +148,10 @@ def cmd_incompletable(args) -> int:
 
 
 def cmd_syncpair(args) -> int:
-    x = _core(_load_language(args.language))
+    language = _load_language(args.language)
+    x = _core(language)
+    if len(x) == 0:
+        return _degenerate(args, language)
     if args.check:
         u = Word.parse(args.check[0], x.alphabet)
         v = Word.parse(args.check[1], x.alphabet)

@@ -499,6 +499,62 @@ def _sweep(
     )
 
 
+_COMPLETE = 1  # the table entry of a complete member
+
+
+def _incompletable_from_subsets(cap: int):
+    """The exhaustive R evaluator: ``evaluate(view)`` gives the least
+    incompletable word of each member, read off its subsets where they decide
+    it, in the ``(length, (word,))`` form of :func:`_sweep`.
+
+    Members come in ascending mask order, so every member S ∖ {x} has been
+    evaluated before S.  ``table`` keeps one entry per pool mask: 0 for a mask
+    not seen, ``_COMPLETE``, or the index in ``words`` of the member's least
+    incompletable word.  If one S ∖ {x} is complete, so is S.  Otherwise S's
+    least word is at least each stored word, so only the largest of them can
+    be incompletable for S, and it is S's least word when it walks
+    ``full_mask`` to ∅.  Only a member that no subset decides is searched.
+    """
+    table = None
+    words: list[Optional[Word]] = [None, None]  # indexed by the entries ≥ 2
+    keys: list = [None, None]  # their (length, lex) sort keys
+    ids: dict[tuple[int, ...], int] = {}
+
+    def evaluate(view: _PoolView, build=None):
+        nonlocal table
+        if table is None:  # 2^p zeros of 4 bytes; the trie has checked 2^p against the cap
+            table = memoryview(bytearray(4 << len(view.trie.words))).cast("I")
+        s = rest = view.members
+        best = 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            k = table[s ^ bit]
+            if k == _COMPLETE:
+                table[s] = _COMPLETE
+                return None
+            if k and (not best or keys[k] > keys[best]):
+                best = k
+        w = words[best]
+        if w is not None:
+            t = view.full_mask
+            for a in w.indices:
+                t = view.step_letter(t, a)
+        if w is None or t:
+            w = _incompletable_word(view, cap)
+        if w is None:
+            table[s] = _COMPLETE
+            return None
+        k = ids.setdefault(w.indices, len(words))
+        if k == len(words):
+            words.append(w)
+            keys.append(w.sort_key())
+        table[s] = k
+        return len(w), (w,)
+
+    return evaluate
+
+
 def estimate_R(
     class_tag: str,
     n: int,
@@ -513,19 +569,27 @@ def estimate_R(
     incompletable-word length; exact in exhaustive mode, a lower bound of the
     true parameter in random mode.
 
-    Exhaustive mode searches each candidate on a view of the pool trie and
+    Exhaustive mode evaluates each candidate on a view of the pool trie and
     builds a language only when the maximum grows, checking the word again on
-    its flower automaton.
+    its flower automaton.  Two facts about inclusion (Berstel–Perrin–
+    Reutenauer, *Codes and Automata*) let it read most answers off smaller
+    candidates: if T ⊆ S then T* ⊆ S*, so T complete makes S complete, and
+    every incompletable word of S is incompletable for T (see
+    :func:`_incompletable_from_subsets`).  A candidate decided that way runs
+    no search, so it cannot reach ``cap``.
     """
 
     def incompletable(search, target, build=None):
         w = search(target, cap)
         return None if w is None else (len(w), (w,))
 
+    if mode == "exhaustive":
+        evaluate = _incompletable_from_subsets(cap)
+    else:
+        evaluate = partial(incompletable, _incompletable_word)
     return _sweep(
         "R", class_tag, n, d, mode, samples, seed, instance_cap, cap,
-        partial(incompletable, _incompletable_word),
-        partial(incompletable, shortest_incompletable),
+        evaluate, partial(incompletable, shortest_incompletable),
     )
 
 

@@ -281,6 +281,31 @@ def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tupl
     return report("R"), report("C")
 
 
+def estimate_R_searching_every_member(class_tag: str, n: int, d: int) -> dict:
+    """Reference exhaustive R report, as ``ExperimentReport.to_dict()``
+    without ``elapsed_seconds``: a fresh ``_incompletable_word`` search on the
+    ``_PoolView`` of every member, in mask order, with no result reused."""
+    from codesync.completeness import _incompletable_word
+    from codesync.errors import DEFAULT_INSTANCE_CAP, DEFAULT_SUBSET_CAP
+    from codesync.experiments import _PoolTrie, _PoolView
+
+    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    best, count = (None, None, None), 0
+    for bits in trie.masks(class_tag, True):
+        word = _incompletable_word(_PoolView(trie, bits), DEFAULT_SUBSET_CAP)
+        if word is None:
+            continue
+        count += 1
+        if best[0] is None or len(word) > best[0]:
+            best = (len(word), trie.language(bits).word_strings(), [word.text])
+    value, words, witness = best
+    return {
+        "kind": "R", "class": class_tag, "n": n, "d": d, "mode": "exhaustive",
+        "value": value, "witness_language": words, "witness": witness,
+        "instances": count, "inconclusive": 0, "samples": None, "seed": None,
+    }
+
+
 def star_words_eager(language: FiniteLanguage, budget: int) -> list[tuple[int, tuple[int, ...]]]:
     """Reference: every distinct word of X* up to the budget, sorted (length, lex)."""
     seen: set[tuple[int, ...]] = {()}

@@ -77,6 +77,26 @@ def test_verbs_read_the_epsilon_free_core(capsys, tmp_path, content, argv, exit_
     assert {key: data[key] for key in expected} == expected
 
 
+ONLY_EPSILON = "alphabet: a b\nε\n"
+DEGENERATE = {"words": ["ε"], "degenerate": "only ε"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["incompletable"], {"complete": False, "witness": "a", "length": 1}),
+    (["incompletable", "--max-len", "3"], {"complete": False, "witness": "a", "length": 1}),
+    (["syncpair"], DEGENERATE),
+    (["syncpair", "--check", "a", "b"], DEGENERATE),
+], ids=["incompletable", "incompletable-max-len", "syncpair", "syncpair-check"])
+def test_verbs_on_a_language_holding_only_epsilon(capsys, tmp_path, argv, expected):
+    """X* = {ε}, so every letter is incompletable; syncpair reports the
+    language as degenerate, as analyze does."""
+    p = tmp_path / "eps.lang"
+    p.write_text(ONLY_EPSILON)
+    code, data = run_json(capsys, [argv[0], str(p), *argv[1:], "--json"])
+    assert code == 0
+    assert data == expected
+
+
 def test_reduce_refuses_epsilon(capsys, tmp_path):
     p = tmp_path / "eps.lang"
     p.write_text(EPSILON_CORE)

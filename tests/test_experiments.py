@@ -20,7 +20,13 @@ from codesync import (
 from codesync import experiments
 from codesync.automata import flower_automaton, states_from_mask
 from codesync.completeness import _incompletable_word
-from codesync.errors import DEFAULT_INSTANCE_CAP, CodesyncError, InternalInvariantError
+from codesync.errors import (
+    DEFAULT_INSTANCE_CAP,
+    DEFAULT_SUBSET_CAP,
+    CodesyncError,
+    InternalInvariantError,
+    SubsetCapExceeded,
+)
 from codesync.languages import _sardinas_patterson
 from codesync.experiments import (
     CLASS_TAGS,
@@ -35,6 +41,7 @@ from codesync.experiments import (
 from helpers import (
     class_masks_reference,
     enumerate_class_languages_reference,
+    estimate_R_searching_every_member,
     estimate_reference,
     has_completion_brute,
     lang,
@@ -349,6 +356,71 @@ def test_R_sweep_rechecks_the_view_on_the_flower(monkeypatch):
     monkeypatch.setattr(_PoolView, "step_letter", lambda self, mask, a: 0)
     with pytest.raises(InternalInvariantError):
         estimate_R("all", 2, 2)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+def test_R_sweep_matches_a_search_on_every_member(n, d):
+    # the sweep that reuses subsets' words against one that searches each
+    # member: same value, first maximizer, witness and instance count
+    for tag in CLASS_TAGS:
+        report = estimate_R(tag, n, d).to_dict()
+        del report["elapsed_seconds"]
+        assert report == estimate_R_searching_every_member(tag, n, d), (tag, n, d)
+
+
+def test_R_answers_read_off_subsets_are_the_searched_ones(monkeypatch):
+    # each member that a subset decides gets the answer a fresh search gives,
+    # and its word fails the definitional completability test
+    searched = []
+
+    def counted(view, cap):
+        searched.append(view.members)
+        return _incompletable_word(view, cap)
+
+    monkeypatch.setattr(experiments, "_incompletable_word", counted)
+    trie = _PoolTrie(2, 2, DEFAULT_INSTANCE_CAP)
+    reused = 0
+    for tag in CLASS_TAGS:
+        evaluate = experiments._incompletable_from_subsets(DEFAULT_SUBSET_CAP)
+        for bits in trie.masks(tag, True):
+            searched.clear()
+            view = _PoolView(trie, bits)
+            found = evaluate(view)
+            word = _incompletable_word(view, DEFAULT_SUBSET_CAP)
+            assert found == (None if word is None else (len(word), (word,))), (tag, bits)
+            if searched:
+                continue
+            reused += 1
+            language = trie.language(bits)
+            if word is None:
+                assert is_complete_language(language)
+            else:
+                assert not has_completion_brute(language, word), (tag, bits)
+    assert reused >= 18
+
+
+def test_R_sweep_searches_only_members_no_subset_decides(monkeypatch):
+    # a machine-independent guard on the work: a member with a complete
+    # S ∖ {x}, or whose subsets' largest least word still sends its full
+    # mask to ∅, runs no search (one search per member made 8,255)
+    calls = []
+
+    def counted(view, cap):
+        calls.append(view.members)
+        return _incompletable_word(view, cap)
+
+    monkeypatch.setattr(experiments, "_incompletable_word", counted)
+    report = estimate_R("all", 3, 2).to_dict()
+    got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
+    assert got == SWEEP_REPORTS["R", "all"]
+    assert len(calls) <= 500
+
+
+def test_a_small_subset_cap_still_fails_loudly():
+    # the fourth member searched, {ab}, stores 3 subsets; members decided from
+    # a subset run no search, so only the searched ones can reach the cap
+    with pytest.raises(SubsetCapExceeded):
+        estimate_R("all", 3, 2, cap=2)
 
 
 @pytest.mark.parametrize("call", [
