@@ -18,6 +18,7 @@ from .completeness import (
 )
 from .errors import (
     CodesyncError,
+    NotSynchronizing,
     ParseError,
     SearchBudgetExceeded,
     SubsetCapExceeded,
@@ -78,7 +79,8 @@ def _emit(args, data: dict, text: str) -> None:
 
 
 def _degenerate(args, x: FiniteLanguage) -> int:
-    """The report of ``analyze`` and ``syncpair`` on a language holding only ε."""
+    """The report of ``analyze``, ``syncpair`` and ``encode`` on a language
+    holding only ε."""
     _emit(
         args,
         {"words": x.word_strings(), "degenerate": "only ε"},
@@ -187,7 +189,12 @@ def cmd_reduce(args) -> int:
             u=Word.parse(args.pair[0], x.alphabet),
             v=Word.parse(args.pair[1], x.alphabet),
         )
-    out, trace = synchronizing_pair_via_reduction(x, pair, budget=args.budget)
+    try:
+        out, trace = synchronizing_pair_via_reduction(x, pair, budget=args.budget)
+    except NotSynchronizing as e:
+        # no pair within the budget, or a supplied pair that fails verification
+        _emit(args, {"synchronizing": False, "reason": str(e)}, str(e))
+        return EXIT_FALSE
     if args.trace:
         _write(args.trace, trace.to_json())
     _emit(
@@ -229,7 +236,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    x = _core(_load_language(args.language))
+    language = _load_language(args.language)
+    x = _core(language)
+    if len(x) == 0:
+        return _degenerate(args, language)
     if args.mode == "uniform":
         pair, trace = uniform_sync_encoding(x)
     elif args.mode == "power2":

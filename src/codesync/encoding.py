@@ -34,7 +34,7 @@ from .errors import (
     DEFAULT_SUBSET_CAP,
 )
 from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix
-from .synchrony import SyncPair, is_sync_pair, is_synchronizing_dfa, shortest_sync_pair
+from .synchrony import SyncPair, _least_pair, is_sync_pair, is_synchronizing_dfa, shortest_sync_pair
 
 
 @dataclass(frozen=True)
@@ -478,27 +478,15 @@ def uniform_sync_encoding(
         )
         return None, trace
 
-    def first_distinct_adjacent(u: Word, v: Word) -> Optional[tuple[int, int]]:
-        concat = (u + v).indices
-        for i in range(len(concat) - 1):
-            if concat[i] != concat[i + 1]:
-                return concat[i], concat[i + 1]
-        return None
-
-    pair = shortest_sync_pair(
-        language,
-        budget,
-        cap,
-        where=lambda u, v: first_distinct_adjacent(u, v) is not None,
-    )
+    pair = _least_pair(language, budget, cap, letter_change=True)
     if pair is None:
         raise SearchBudgetExceeded(
             "no synchronizing pair with two distinct adjacent letters found within budget"
         )
-    adjacent = first_distinct_adjacent(pair.u, pair.v)
+    uv = (pair.u + pair.v).indices
+    alpha, beta = next((a, b) for a, b in zip(uv, uv[1:]) if a != b)
 
     m = d.bit_length()  # ⌈log₂(d+1)⌉
-    alpha, beta = adjacent
     target = Alphabet.binary()
     special_alpha = Word(target, (1,) + (0,) * (m - 1))  # b a^{m-1}
     special_beta = Word(target, (0,) * (m - 1) + (1,))  # a^{m-1} b

@@ -1,27 +1,22 @@
 """Synchronizing pairs, constants, reset words and the Černý witness family.
 
-Two checkers certify a pair (u, v) ∈ X* × X*:
+Two checkers certify a pair (u, v) ∈ X* × X*.  The code path tests
+Qu ∩ Qv⁻¹ = {1} on the flower automaton, the exact criterion when X is a
+code.  The general path quantifies over the context families, the subsets
+S = δ(1, r) and T = {q : 1 ∈ δ(q, s)}, finite and memoized on the language,
+and checks that every completion context splits: δ(S, uv) ∩ T ≠ ∅ implies
+1 ∈ δ(S, u) and δ(1, v) ∩ T ≠ ∅.
 
-* the code path tests Qu ∩ Qv⁻¹ = {1} on the flower automaton, which is the
-  exact criterion when X is a code (and a sound sufficient condition always);
-* the general path quantifies over all forward-reachable subsets S = δ(1, r)
-  and backward-reachable subsets T = {q : 1 ∈ δ(q, s)} and checks that every
-  completion context splits:  δ(S, uv) ∩ T ≠ ∅ implies 1 ∈ δ(S, u) and
-  δ(1, v) ∩ T ≠ ∅.
-
-Both subset families of the general path are finite, computed once per
-language and memoized on it, since pair testing is the hot path of the exact
-search.  A code synchronizes iff it has a pair, so the least-pair search run
-without a budget is also the synchronization test (:func:`_least_code_pair`);
-for complete prefix and suffix codes it is one reset-to-root search, run on
-preimages from {1} to Q (:func:`_one_sided_pair`).
+One least-pair search serves every ε-free X (:func:`_pair_search`): it pairs
+X*-representatives, the least words of X* with a given key (what the pair
+test reads of a word), and ends without a budget.  Complete prefix and
+suffix codes take one reset-to-root search (:func:`_one_sided_pair`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Optional
 
 from .automata import (
@@ -29,6 +24,7 @@ from .automata import (
     flower_automaton,
     is_deterministic,
     layered_search,
+    reverse,
     subset_bfs,
 )
 from .errors import (
@@ -136,13 +132,11 @@ def is_sync_pair(
 
 def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """Exact synchronization test for codes: X synchronizes iff it has a
-    synchronizing pair, so the least-pair search of :func:`_least_code_pair`
-    with no budget, which ends once its finite subset spaces are used up,
-    decides it.
-    """
+    pair, so the least-pair search of :func:`_least_pair`, run without a
+    budget, decides it."""
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    return _least_code_pair(language, None, cap) is not None
+    return _least_pair(language, None, cap) is not None
 
 
 def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -212,17 +206,19 @@ def is_synchronizing_dfa(automaton: Automaton) -> bool:
     return len(mergeable) == n * (n + 1) // 2
 
 
-def _star_reps(automaton: Automaton, cap: int, back: bool) -> Iterator[list[tuple[tuple[int, ...], int]]]:
-    """Minimal X*-representatives of the subsets δ(Q, u), u ∈ X*, one length
-    at a time, or of δ(Q, v⁻¹) when ``back``, growing v by prepending letters.
+def _star_reps(automaton: Automaton, side: tuple, cap: int, back: bool) -> Iterator[list[tuple]]:
+    """Minimal X*-representatives of the keys of the words u ∈ X*, one length
+    at a time, or of v ∈ X* when ``back``, growing v by prepending letters.
 
-    Searches the product states (δ(Q, u), δ(1, u)), capped in number, letter
-    by letter; u ∈ X* iff 1 ∈ δ(1, u).  Level L lists, sorted by word, the
-    masks first reached by a word of X* of length L, each with its lex-least
-    such word, which is enough for the code-path search because the pair test
-    depends on u only through δ(Q, u).
+    Searches the states (δ(R, u), δ(1, u)), capped in number, letter by
+    letter, for ``side`` = (family, R, key) with R a mask of the family (Rv⁻¹
+    and 1v⁻¹ when ``back``); u ∈ X* iff 1 ∈ δ(1, u).  Level L lists, sorted
+    by word, the keys ``key(δ(R, u))``, or δ(R, u) with no key, first reached
+    by a word of X* of length L, each with its lex-least such word.
     """
+    family, rest, key = side
     step = automaton.step_letter_back if back else automaton.step_letter
+    step_rest = family.step_letter_back if back else family.step_letter
     init = 1 << automaton.initial
     letters = range(len(automaton.alphabet))
 
@@ -231,106 +227,112 @@ def _star_reps(automaton: Automaton, cap: int, back: bool) -> Iterator[list[tupl
         for a in letters:
             nxt = step(reach, a)
             if nxt:  # δ(1, ·) = ∅: no extension lies in X*
-                yield (step(mask, a), nxt), ((a,) + word if back else word + (a,))
+                yield (step_rest(mask, a), nxt), ((a,) + word if back else word + (a,))
 
     what = "sync-pair backward enumeration" if back else "sync-pair forward enumeration"
     done: set[int] = set()
-    for level in layered_search((automaton.full_mask, init), (), expand, cap=cap, what=what):
+    for level in layered_search((rest, init), (), expand, cap=cap, what=what):
+        states = level.items()
+        if key is not None:
+            states = [((key(mask), reach), word) for (mask, reach), word in states if reach & init]
         reps: dict[int, tuple[int, ...]] = {}
-        for (mask, reach), word in level.items():
+        for (mask, reach), word in states:
             if reach & init and mask not in done and (mask not in reps or word < reps[mask]):
                 reps[mask] = word
         done.update(reps)
-        yield sorted((word, mask) for mask, word in reps.items())
-
-
-def _star_words(language: FiniteLanguage) -> Iterator[list[tuple[int, ...]]]:
-    """The distinct words of X*, one length at a time, each level sorted lex.
-
-    Level L extends level L − |x| by x for every x ∈ X, so X must be ε-free.
-    """
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    while True:
-        yield levels[-1]
-        length = len(levels)
-        levels.append(sorted({
-            w + x.indices
-            for x in language.words
-            if len(x) <= length
-            for w in levels[length - len(x)]
-        }))
+        yield sorted(zip(reps.values(), reps))  # (word, key), by word
 
 
 def shortest_sync_pair(
-    language: FiniteLanguage,
-    budget: int = 12,
-    cap: int = DEFAULT_SUBSET_CAP,
-    where=None,
+    language: FiniteLanguage, budget: int = 12, cap: int = DEFAULT_SUBSET_CAP
 ) -> Optional[SyncPair]:
-    """Exact search for a synchronizing pair of minimal total length.
+    """The least synchronizing pair (u, v) ∈ X* × X* under (|uv|, |u|, lex u,
+    lex v) with |uv| ≤ ``budget``, or None (X may synchronize with longer)."""
+    return _least_pair(language, budget, cap)
 
-    Candidates u, v ∈ X* (as the definition requires) are tested in
-    nondecreasing |uv|, with ties broken by (|u|, lex u, lex v), each total as
-    soon as both sides have reached its length.  Returns None when no pair
-    with |uv| ≤ budget exists; X may still be synchronizing via longer pairs.
 
-    ``where(u, v)`` optionally filters acceptable pairs.  A filter disables
-    the subset-representative compression of the code path, because distinct
-    words with equal subset dynamics are interchangeable for the pair test
-    but not for an arbitrary predicate.  Without a filter, a code takes
-    :func:`_least_code_pair`, which gives the same pair.
-    """
+def _least_pair(
+    language: FiniteLanguage, budget: Optional[int], cap: int, letter_change: bool = False
+) -> Optional[SyncPair]:
+    """The least pair of an ε-free X with |uv| ≤ ``budget`` (of all, with no
+    budget), None if there is none; with ``letter_change`` the least whose uv
+    has two distinct adjacent letters.  A complete prefix or suffix code takes
+    :func:`_one_sided_pair` (unless a letter change is asked for), another
+    code :func:`_code_sync_pair`, a non-code its context families."""
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
-    code = is_code(language)
-    if code and where is None:
-        return _least_code_pair(language, budget, cap)
-    automaton = flower_automaton(language)
-    checker = (
-        partial(_code_pair_check, automaton)
-        if code
-        else partial(_general_pair_check, *_context_families(language, cap))
-    )
-    levels = _star_words(language)
-    words = []  # words of X* by length
-    for total in range(budget + 1):
-        words.append(next(levels))
-        for lu in range(total + 1):
-            for wu in words[lu]:
-                for wv in words[total - lu]:
-                    u = Word(language.alphabet, wu)
-                    v = Word(language.alphabet, wv)
-                    if where is not None and not where(u, v):
-                        continue
-                    if checker(u, v):
-                        return SyncPair(u=u, v=v, checked_by="code" if code else "general")
-    return None
-
-
-def _least_code_pair(language: FiniteLanguage, budget: Optional[int], cap: int) -> Optional[SyncPair]:
-    """The least pair under (|uv|, |u|, lex u, lex v) of an ε-free code X with
-    |uv| ≤ ``budget``, or with no budget the least pair of all, None when X
-    does not synchronize: :func:`_one_sided_pair` for a complete prefix or
-    suffix code, :func:`_code_sync_pair` on the flower otherwise.
-    """
-    one_sided = _one_sided_flower(language, cap)
+    if not is_code(language):
+        automaton, *families = _context_families(language, cap)
+        sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
+        return _pair_search(automaton, sides, "general", budget, cap, letter_change)
+    one_sided = None if letter_change else _one_sided_flower(language, cap)
     if one_sided is None:
-        return _code_sync_pair(flower_automaton(language), budget, cap)
+        return _code_sync_pair(flower_automaton(language), budget, cap, letter_change)
     return _one_sided_pair(*one_sided, budget, cap)
 
 
-def _code_sync_pair(automaton: Automaton, budget: Optional[int], cap: int) -> Optional[SyncPair]:
-    """The code-path search of :func:`shortest_sync_pair` on the flower
-    automaton of a code, or on any object with the same kernel interface:
-    minimal X*-representatives paired by total length, then (|u|, lex u, lex v).
+def _code_sync_pair(
+    automaton: Automaton, budget: Optional[int], cap: int, letter_change: bool = False
+) -> Optional[SyncPair]:
+    """:func:`_pair_search` on the flower automaton of a code, or on any object
+    with its kernel interface, keyed by δ(Q, u) and Qv⁻¹."""
+    side = (automaton, automaton.full_mask, None)
+    return _pair_search(automaton, [side, side], "code", budget, cap, letter_change)
 
-    Returns None when no pair has |uv| ≤ ``budget``, or with no budget when
-    X does not synchronize.  Both representative searches are finite: once
-    they have ended after E_u and E_v levels, every pairing has total length
-    at most E_u + E_v − 2, so the search stops there whatever the budget.
+
+def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) -> tuple:
+    """The search side (family, rest, key) of the context family F = {δ(1, r)},
+    or of B = {T_s} when ``back``.  The family is the automaton S → δ(S, a) on
+    the members of F (T → Ta⁻¹ on B, read by ``step_letter_back``), so its
+    subset δ(F, u) is {δ(S, u) : S ∈ F} ∖ {∅}; rest is all of F; the key is
+    {1} ∪ P | R << n (A | N << n on B), any bits above F moved to 2n."""
+    n, init = automaton.n_states, 1 << automaton.initial
+    step = automaton.step_letter_back if back else automaton.step_letter
+    index = {m: i for i, m in enumerate(members)}
+    letters = range(len(automaton.alphabet))
+    table = tuple(tuple(1 << index[t] if (t := step(m, a)) else 0 for a in letters) for m in members)
+    family = Automaton(len(members), automaton.alphabet, table)
+
+    def key(mask):
+        miss_hold = [0, 0]
+        for i, m in enumerate(members):
+            if mask >> i & 1:
+                miss_hold[m & init != 0] |= m
+        miss, hold = miss_hold
+        return (hold | miss | miss << n if back else init | miss | hold << n) | mask >> len(members) << 2 * n
+    return reverse(family) if back else family, family.full_mask, key
+
+
+def _pair_search(
+    automaton: Automaton, sides: list, checked_by: str, budget: Optional[int], cap: int,
+    letter_change: bool,
+) -> Optional[SyncPair]:
+    """The one pairing loop: :func:`_star_reps` of u and of v, each side on
+    its ``(family, rest, key)``, paired by total length, then (|u|, lex u,
+    lex v); (u, v) is taken iff key(u) ∩ key(v) = {1}, the pair test.  On a
+    code's flower that is Qu ∩ Qv⁻¹ = {1}.  On any ε-free X, δ(S, uv) meets T
+    iff δ(S, u) meets Tv⁻¹, so (u, v) synchronizes iff P(u) ∩ A(v) = ∅ and
+    R(u) ∩ N(v) = ∅: P(u) and R(u) are the unions of the δ(S, u), S ∈ F, that
+    miss and that hold state 1, A(v) ∋ 1 that of the Tv⁻¹, T ∈ B, and N(v)
+    that of those missing 1.  With ``letter_change`` each side also runs the
+    letter-change automaton, ε and one state per letter a, with ε → a and
+    a → a under a, from ε for u and from all of it for v: these parts of the
+    keys meet iff δ(ε, uv) ≠ ∅, iff uv has no two distinct adjacent letters.
+
+    Exact: the test depends on u only through its key, so the least pair has
+    for u the least word of X* with its key, and v likewise.  Returns None
+    when no pair has |uv| ≤ ``budget``, or with no budget when there is none:
+    once both searches have ended after E_u and E_v levels, no pair is
+    longer than E_u + E_v − 2.
     """
-    init = 1 << automaton.initial
-    searches = (_star_reps(automaton, cap, back=False), _star_reps(automaton, cap, back=True))
+    init, d = 1 << automaton.initial, len(automaton.alphabet)
+    if letter_change:  # the letter-change automaton goes on states n, …, n + d of each family
+        for back, (family, rest, key) in enumerate(sides):
+            n = family.n_states
+            change = tuple(tuple(1 << n + a if b in (a, d) else 0 for a in range(d)) for b in range(d + 1))
+            family = Automaton(n + d + 1, automaton.alphabet, family.table + change)
+            sides[back] = family, rest | ((1 << d + 1) - 1 if back else 1 << d) << n, key
+    searches = [_star_reps(automaton, sides[0], cap, False), _star_reps(automaton, sides[1], cap, True)]
     fwd, bwd = [], []  # representatives by length
     ends = [None, None]  # the level count of each search once it has ended
     for total in itertools.count() if budget is None else range(budget + 1):
@@ -340,9 +342,9 @@ def _code_sync_pair(automaton: Automaton, budget: Optional[int], cap: int) -> Op
                 ends[side] = total
             reps.append(level or [])
         for lu in range(total + 1):
-            for (wu, mu), (wv, mv) in itertools.product(fwd[lu], bwd[total - lu]):
-                if mu & mv == init:
-                    return SyncPair(Word(automaton.alphabet, wu), Word(automaton.alphabet, wv), "code")
+            for (wu, ku), (wv, kv) in itertools.product(fwd[lu], bwd[total - lu]):
+                if ku & kv == init:
+                    return SyncPair(Word(automaton.alphabet, wu), Word(automaton.alphabet, wv), checked_by)
         if None not in ends and total >= ends[0] + ends[1] - 2:
             return None
     return None
@@ -425,12 +427,9 @@ def cerny_family(n: int) -> FiniteLanguage:
     if n < 3:
         raise ParseError("the X_n family needs n ≥ 3")
     alphabet = Alphabet.binary()
-    words = []
-    for tail in itertools.product((0, 1), repeat=n - 2):
-        words.append(Word(alphabet, (0,) + tail))
-    for tail in itertools.product((0, 1), repeat=n - 1):
-        words.append(Word(alphabet, (1,) + tail))
-    return FiniteLanguage(alphabet, tuple(words))
+    words = [(0,) + tail for tail in itertools.product((0, 1), repeat=n - 2)]
+    words += [(1,) + tail for tail in itertools.product((0, 1), repeat=n - 1)]
+    return FiniteLanguage(alphabet, tuple(Word(alphabet, w) for w in words))
 
 
 def cerny_canonical_pair(n: int) -> SyncPair:

@@ -97,6 +97,17 @@ def test_verbs_on_a_language_holding_only_epsilon(capsys, tmp_path, argv, expect
     assert data == expected
 
 
+@pytest.mark.parametrize("mode", ["general", "uniform"])
+def test_encode_on_a_language_holding_only_epsilon(capsys, tmp_path, mode):
+    """There is no flower automaton to encode; encode reports the language as
+    degenerate, as analyze and syncpair do."""
+    p = tmp_path / "eps.lang"
+    p.write_text("alphabet: a b c\nε\n")
+    code, data = run_json(capsys, ["encode", str(p), "--mode", mode, "--json"])
+    assert code == 0
+    assert data == DEGENERATE
+
+
 def test_reduce_refuses_epsilon(capsys, tmp_path):
     p = tmp_path / "eps.lang"
     p.write_text(EPSILON_CORE)
@@ -152,6 +163,22 @@ def test_syncpair_stops_when_no_pair_is_left(capsys, tmp_path):
     code, data = run_json(capsys, ["syncpair", str(p), "--budget", "20000", "--json"])
     assert code == 1
     assert data == {"pair": None, "budget": 20000}
+
+
+def test_reduce_without_a_pair_within_budget_is_a_false_property(capsys, tmp_path):
+    # {aa} is a complete code with no pair at all; syncpair exits 1 on it too
+    p = tmp_path / "aa.lang"
+    p.write_text("alphabet: a\naa\n")
+    code, data = run_json(capsys, ["reduce", str(p), "--json"])
+    assert code == 1
+    assert data == {"synchronizing": False, "reason": "no synchronizing pair with |uv| ≤ 12 found"}
+    assert main(["syncpair", str(p)]) == 1
+
+
+def test_reduce_with_a_pair_that_fails_verification_is_a_false_property(capsys, prefix_file):
+    assert main(["reduce", prefix_file, "--pair", "a", "ε"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "the supplied pair failed verification\n" and captured.err == ""
 
 
 def test_reduce_with_trace(capsys, prefix_file, tmp_path):

@@ -92,7 +92,7 @@ def _prefix_aprime():
         (lambda: shortest_sync_pair(cerny_family(4), 9, cap=1), "reset-to-root search"),
         # the pair search finishes each forward level first, so a cap small
         # enough to stop the backward side stops the forward side before it
-        (lambda: list(_star_reps(flower_automaton(cerny_family(4)), 1, back=True)),
+        (lambda: list(_star_reps(f := flower_automaton(cerny_family(4)), (f, f.full_mask, None), 1, True)),
          "sync-pair backward enumeration"),
         (lambda: left_star_completion(lang(EXAMPLE_SET), w("abbabba"), cap=1),
          "left-star completion search"),

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codesync import (
+    Alphabet,
+    FiniteLanguage,
     NotInStar,
     ParseError,
     Word,
@@ -263,7 +265,10 @@ def test_exhausted_pair_search_stops_pairing(monkeypatch):
     # {abab} does not synchronize, and both representative searches end after
     # five levels; once every pairing of their levels is tried (totals 0..8,
     # 45 length pairings) the search stops, whatever the budget, instead of
-    # pairing empty levels up to it
+    # pairing empty levels up to it.  The non-code {aa, aaaa} does not
+    # synchronize either; its search on the context automata stops after
+    # totals 0..5, 21 length pairings, where listing X* up to the budget never
+    # stops early.
     pairings = 0
 
     def product(*sides):
@@ -279,6 +284,9 @@ def test_exhausted_pair_search_stops_pairing(monkeypatch):
     budgeted, pairings = pairings, 0
     assert not is_synchronizing_code(x)
     assert budgeted == pairings == 45
+    pairings = 0
+    assert shortest_sync_pair(lang(["aa", "aaaa"]), 200) is None
+    assert pairings == 21
 
 
 def test_uniform_full_square_is_not_synchronizing():
@@ -296,11 +304,11 @@ def test_shortest_pair_determinism():
 
 
 def test_compressed_and_plain_searches_agree_on_codes():
-    # the code path dedupes candidate words by their subset dynamics; forcing
-    # the plain enumeration (via a trivial filter) must find the same minimal
-    # pair under the same tie-break.  X_n has a single backward
-    # representative, so the generated suffix codes, letters swapped or not,
-    # are what compares candidate v's of equal length.
+    # the search dedupes candidate words by their subset dynamics; the eager
+    # reference, which lists X* up to the budget and tests every pair in
+    # order, must give the same minimal pair under the same tie-break.  X_n
+    # has a single backward representative, so the generated suffix codes,
+    # letters swapped or not, are what compares candidate v's of equal length.
     from codesync.experiments import random_complete_sync_codes
 
     cases = [(x, 5) for x in exhaustive_corpus()[::15] if is_code(x)]
@@ -309,43 +317,54 @@ def test_compressed_and_plain_searches_agree_on_codes():
     count = nonempty_v = 0
     for x, budget in cases:
         fast = shortest_sync_pair(x, budget=budget)
-        slow = shortest_sync_pair(x, budget=budget, where=lambda u, v: True)
+        slow = shortest_sync_pair_eager(x, budget)
         if fast is None:
             assert slow is None, x.word_strings()
         else:
-            assert slow is not None
-            assert (fast.u, fast.v) == (slow.u, slow.v), x.word_strings()
+            assert (fast.u, fast.v, fast.checked_by) == slow, x.word_strings()
             count += 1
             nonempty_v += budget == 10 and len(fast.v) > 0
     assert count > 5 and nonempty_v >= 20
 
 
+def _has_a_letter_change(u, v):
+    uv = (u + v).indices
+    return any(a != b for a, b in zip(uv, uv[1:]))
+
+
 def test_plain_pair_search_matches_eager_reference():
-    # the plain search (a filter, or a non-code) builds X* one length at a
-    # time and stops at its answer; the reference enumerates X* up to the
-    # budget first.  Both test totals in increasing order, so a pair the
-    # reference finds at budget 12 is also the answer at budget 14.
+    # the search builds its representatives one length at a time and stops at
+    # its answer; the reference enumerates X* up to the budget first.  Both
+    # test totals in increasing order, so a pair the reference finds at
+    # budget 12 is also the answer at budget 14.  The pair of the uniform
+    # encoding, the least one whose uv has two distinct adjacent letters, is
+    # the reference's pair under that filter.
     from codesync.experiments import enumerate_class_languages, random_complete_sync_codes
 
-    def anything(u, v):
-        return True
+    def pairs(x, budget):
+        found = (
+            shortest_sync_pair(x, budget),
+            synchrony._least_pair(x, budget, DEFAULT_SUBSET_CAP, letter_change=True),
+        )
+        return [None if p is None else (p.u, p.v, p.checked_by) for p in found]
 
     codes = random_complete_sync_codes(30, seed=11, max_size=5)
+    filtered = 0  # languages whose least pair has no letter change
     for x in codes + [swap_letters(x) for x in codes]:
-        want = shortest_sync_pair_eager(x, 12, where=anything)
-        assert want is not None, x.word_strings()
+        want = [shortest_sync_pair_eager(x, 12), shortest_sync_pair_eager(x, 12, where=_has_a_letter_change)]
+        assert None not in want, x.word_strings()
         for budget in (12, 14):
-            pair = shortest_sync_pair(x, budget=budget, where=anything)
-            assert (pair.u, pair.v, pair.checked_by) == want, (x.word_strings(), budget)
+            assert pairs(x, budget) == want, (x.word_strings(), budget)
+        filtered += want[0] != want[1]
     non_codes = [x for x in enumerate_class_languages("all", 2, 2) if not is_code(x)]
     assert len(non_codes) > 10
     found = 0
     for x in non_codes:
-        pair = shortest_sync_pair(x, budget=8)
-        got = None if pair is None else (pair.u, pair.v, pair.checked_by)
-        assert got == shortest_sync_pair_eager(x, 8), x.word_strings()
-        found += pair is not None
-    assert found > 0
+        want = [shortest_sync_pair_eager(x, 8), shortest_sync_pair_eager(x, 8, where=_has_a_letter_change)]
+        assert pairs(x, 8) == want, x.word_strings()
+        found += want[0] is not None
+        filtered += want[0] != want[1]
+    assert found > 0 and filtered == 36
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10])
@@ -409,6 +428,27 @@ def _codes_and_star_pairs(draw):
 def test_code_and_general_checkers_agree_on_codes(case):
     x, u, v = case
     assert is_sync_pair(x, u, v, method="code") == is_sync_pair(x, u, v, method="general")
+
+
+@st.composite
+def _small_sets_and_budgets(draw):
+    """An ε-free set of 1–4 words of length ≤ 3 over 1–3 letters, code or
+    not, and a pair budget."""
+    d = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, d - 1), min_size=1, max_size=3).map(tuple)
+    alphabet = Alphabet.lowercase(d)
+    chosen = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    x = FiniteLanguage(alphabet, tuple(Word(alphabet, t) for t in chosen))
+    return x, draw(st.integers(0, 7 - d))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_small_sets_and_budgets())
+def test_pair_search_matches_the_eager_reference(case):
+    x, budget = case
+    pair = shortest_sync_pair(x, budget)
+    got = None if pair is None else (pair.u, pair.v, pair.checked_by)
+    assert got == shortest_sync_pair_eager(x, budget)
 
 
 def test_one_sided_pairs_match_the_code_path_search():
