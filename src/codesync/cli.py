@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 1 checked-property false, 2 usage error, 3 resource cap.
+Exit codes: 0 ok, 1 checked-property false, 2 usage error, 3 resource cap,
+4 internal error (a failed theorem check, with its payload as one JSON line).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .completeness import (
 )
 from .errors import (
     CodesyncError,
+    InternalInvariantError,
     NotSynchronizing,
     ParseError,
     SearchBudgetExceeded,
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _load_language(path: str):
@@ -397,6 +400,10 @@ def main(argv=None) -> int:
     except (SubsetCapExceeded, SearchBudgetExceeded) as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_CAP
+    except InternalInvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        print(json.dumps(e.details, default=str), file=sys.stderr)
+        return EXIT_INTERNAL
     except CodesyncError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

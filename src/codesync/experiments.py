@@ -32,7 +32,7 @@ from .encoding import LengthProfile, _first_sync_code, _random_colorings, kraft_
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import (
-    _code_sync_pair,
+    _flower_pair,
     _one_sided_pair,
     is_synchronizing_code,
     shortest_sync_pair,
@@ -439,8 +439,8 @@ def _sweep(
 
     An instance is an automaton-like object, a :class:`_PoolView` of each
     class member in exhaustive mode and the flower of each sample in random
-    mode, with a thunk that builds its language.  ``evaluate(automaton,
-    build)`` answers None for a non-instance, ``_INCONCLUSIVE``, or (length,
+    mode, with a thunk that builds its language.  ``evaluate(automaton)``
+    answers None for a non-instance, ``_INCONCLUSIVE``, or (length,
     witness words).  The language is built only when the maximum grows, and
     ``recheck(language)``, a language-level search, must then give the same
     answer.
@@ -466,7 +466,7 @@ def _sweep(
     value = witness_language = witness = None
     count = inconclusive = 0
     for automaton, build in instances:
-        found = evaluate(automaton, build)
+        found = evaluate(automaton)
         if found is None:
             continue
         if found is _INCONCLUSIVE:
@@ -520,7 +520,7 @@ def _incompletable_from_subsets(cap: int):
     keys: list = [None, None]  # their (length, lex) sort keys
     ids: dict[tuple[int, ...], int] = {}
 
-    def evaluate(view: _PoolView, build=None):
+    def evaluate(view: _PoolView):
         nonlocal table
         if table is None:  # 2^p zeros of 4 bytes; the trie has checked 2^p against the cap
             table = memoryview(bytearray(4 << len(view.trie.words))).cast("I")
@@ -579,7 +579,7 @@ def estimate_R(
     no search, so it cannot reach ``cap``.
     """
 
-    def incompletable(search, target, build=None):
+    def incompletable(search, target):
         w = search(target, cap)
         return None if w is None else (len(w), (w,))
 
@@ -606,18 +606,19 @@ def estimate_C(
 ) -> ExperimentReport:
     """Max over synchronizing class instances of the minimal pair length.
 
-    Instances whose pair search exhausts the budget are counted separately
-    and never folded into the max; for code classes, provably
-    non-synchronizing instances are excluded exactly.
+    Every instance runs one unbudgeted least-pair search, which decides
+    whether it synchronizes and gives its pair: an instance with no pair is
+    excluded exactly, in every class, and one whose pair is longer than the
+    budget is counted as inconclusive and never folded into the max.
 
-    Exhaustive mode tests each member of a code class on a view of the pool
-    trie and builds a language only when the maximum grows, checking the pair
-    again on its flower automaton; ``all`` members, which need not be codes,
-    get the language-level search.  A code synchronizes iff it has a pair, so
-    one unbudgeted least-pair search decides it and gives the pair: the
-    reset-to-root search (:func:`~codesync.synchrony._one_sided_pair`) for a
-    complete prefix code, the X*-representative search
-    (:func:`~codesync.synchrony._code_sync_pair`) for every other code.
+    Exhaustive mode searches each member on a view of the pool trie and
+    builds a language only when the maximum grows, checking the pair again
+    with the language-level :func:`~codesync.synchrony.shortest_sync_pair`.
+    A complete prefix code takes the reset-to-root search
+    (:func:`~codesync.synchrony._one_sided_pair`), a member of another code
+    class the code search of :func:`~codesync.synchrony._flower_pair`, and an
+    ``all`` member, which need not be a code, its context search, exact on
+    any ε-free X.
     """
     if budget < 0:
         raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
@@ -625,13 +626,11 @@ def estimate_C(
     def found(pair):
         return _INCONCLUSIVE if pair is None else (pair.total_length, (pair.u, pair.v))
 
-    def evaluate(automaton, build):
-        if class_tag == "all":
-            return found(shortest_sync_pair(build(), budget, cap))
+    def evaluate(automaton):
         if class_tag == "complete-prefix":
             pair = _one_sided_pair(automaton, False, None, cap)
         else:
-            pair = _code_sync_pair(automaton, None, cap)
+            pair = _flower_pair(automaton, class_tag != "all", None, cap)
         if pair is None:
             return None
         return _INCONCLUSIVE if pair.total_length > budget else found(pair)

@@ -9,8 +9,9 @@ and checks that every completion context splits: δ(S, uv) ∩ T ≠ ∅ implies
 
 One least-pair search serves every ε-free X (:func:`_pair_search`): it pairs
 X*-representatives, the least words of X* with a given key (what the pair
-test reads of a word), and ends without a budget.  Complete prefix and
-suffix codes take one reset-to-root search (:func:`_one_sided_pair`).
+test reads of a word), and ends without a budget, on a flower automaton or a
+sweep's pool view alike (:func:`_flower_pair`).  Complete prefix and suffix
+codes take one reset-to-root search (:func:`_one_sided_pair`).
 """
 
 from __future__ import annotations
@@ -60,14 +61,17 @@ def _context_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tu
     automaton = flower_automaton(language)
     families = language._memo.get("families")
     if families is None:
-        start = 1 << automaton.initial
-        families = language._memo["families"] = tuple(
-            tuple(subset_bfs(automaton, start, back=back, cap=cap, what="subset family closure")[0])
-            for back in (False, True)
-        )
+        families = language._memo["families"] = _context_closure(automaton, cap)
     elif max(map(len, families)) > cap:
         raise SubsetCapExceeded(cap, "subset family closure")
     return (automaton, *families)
+
+
+def _context_closure(automaton: Automaton, cap: int) -> tuple:
+    """The families {δ(1, r)} and {T_s}, the subsets closed from state 1, of a
+    flower automaton or of any object with its kernel interface."""
+    start, what = 1 << automaton.initial, "subset family closure"
+    return tuple(tuple(subset_bfs(automaton, start, back=b, cap=cap, what=what)[0]) for b in (False, True))
 
 
 def _check_in_star(language: FiniteLanguage, w: Word, name: str) -> None:
@@ -257,27 +261,29 @@ def _least_pair(
     """The least pair of an ε-free X with |uv| ≤ ``budget`` (of all, with no
     budget), None if there is none; with ``letter_change`` the least whose uv
     has two distinct adjacent letters.  A complete prefix or suffix code takes
-    :func:`_one_sided_pair` (unless a letter change is asked for), another
-    code :func:`_code_sync_pair`, a non-code its context families."""
+    :func:`_one_sided_pair` (unless a letter change is asked for), any other X
+    :func:`_flower_pair`."""
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
-    if not is_code(language):
-        automaton, *families = _context_families(language, cap)
-        sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
-        return _pair_search(automaton, sides, "general", budget, cap, letter_change)
-    one_sided = None if letter_change else _one_sided_flower(language, cap)
+    code = is_code(language)
+    one_sided = _one_sided_flower(language, cap) if code and not letter_change else None
     if one_sided is None:
-        return _code_sync_pair(flower_automaton(language), budget, cap, letter_change)
+        return _flower_pair(flower_automaton(language), code, budget, cap, letter_change)
     return _one_sided_pair(*one_sided, budget, cap)
 
 
-def _code_sync_pair(
-    automaton: Automaton, budget: Optional[int], cap: int, letter_change: bool = False
+def _flower_pair(
+    automaton: Automaton, code: bool, budget: Optional[int], cap: int, letter_change: bool = False
 ) -> Optional[SyncPair]:
-    """:func:`_pair_search` on the flower automaton of a code, or on any object
-    with its kernel interface, keyed by δ(Q, u) and Qv⁻¹."""
-    side = (automaton, automaton.full_mask, None)
-    return _pair_search(automaton, [side, side], "code", budget, cap, letter_change)
+    """:func:`_pair_search` on the flower automaton of X, or on any object with
+    its kernel interface: keyed by δ(Q, u) and Qv⁻¹ for a ``code``, else on the
+    context automata of the families :func:`_context_closure` closes on it."""
+    if code:
+        sides = [(automaton, automaton.full_mask, None)] * 2
+    else:
+        families = _context_closure(automaton, cap)
+        sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
+    return _pair_search(automaton, sides, "code" if code else "general", budget, cap, letter_change)
 
 
 def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) -> tuple:
@@ -286,7 +292,7 @@ def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) ->
     the members of F (T → Ta⁻¹ on B, read by ``step_letter_back``), so its
     subset δ(F, u) is {δ(S, u) : S ∈ F} ∖ {∅}; rest is all of F; the key is
     {1} ∪ P | R << n (A | N << n on B), any bits above F moved to 2n."""
-    n, init = automaton.n_states, 1 << automaton.initial
+    n, init = automaton.full_mask.bit_length(), 1 << automaton.initial
     step = automaton.step_letter_back if back else automaton.step_letter
     index = {m: i for i, m in enumerate(members)}
     letters = range(len(automaton.alphabet))

@@ -247,8 +247,11 @@ def class_masks_reference(n: int, d: int) -> dict[tuple[str, bool], list[int]]:
 def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tuple[dict, dict]:
     """Reference exhaustive R and C reports, as ``ExperimentReport.to_dict()``
     without ``elapsed_seconds``: the language-level searches on every member
-    of :func:`enumerate_class_languages_reference`, in its order."""
-    from codesync import shortest_incompletable, shortest_sync_pair
+    of :func:`enumerate_class_languages_reference`, in its order.  A code that
+    :func:`synchronizes_reference` rejects is no C instance; a non-code with
+    no pair within the budget counts as inconclusive, so a non-code that the
+    sweep wrongly excludes shows as a mismatch."""
+    from codesync import is_code, shortest_incompletable, shortest_sync_pair
 
     best = {"R": None, "C": None}  # (value, witness language, witness)
     counts = {"R": 0, "C": 0}
@@ -258,7 +261,7 @@ def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tupl
         incompletable = shortest_incompletable(x)
         if incompletable is not None:
             found["R"] = (len(incompletable), [incompletable.text])
-        if class_tag == "all" or synchronizes_reference(x):
+        if not is_code(x) or synchronizes_reference(x):
             pair = shortest_sync_pair(x, budget)
             if pair is None:
                 inconclusive += 1

@@ -328,6 +328,25 @@ def test_resource_cap_is_reported_before_the_pool_is_built(capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("resource cap:")
 
 
+def test_internal_error_exit_code_and_payload(capsys, monkeypatch):
+    # a failed theorem check is a bug, not a usage error: exit 4, one
+    # ``internal error:`` line, then its payload as one JSON line
+    from codesync import cli
+    from codesync.errors import InternalInvariantError
+
+    def broken(profile):
+        details = {"d": profile.d, "lengths": profile.lengths}
+        raise InternalInvariantError("canonical allocation overflowed", details)
+
+    monkeypatch.setattr(cli, "kraft_canonical", broken)
+    assert main(["construct", "--lengths", "1,2,2", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, payload = captured.err.splitlines()
+    assert message == "internal error: canonical allocation overflowed"
+    assert json.loads(payload) == {"d": 2, "lengths": [1, 2, 2]}
+
+
 def test_random_complete_sweep_on_one_letter(capsys):
     # the complete codes on one letter are the single words a^k
     code, data = run_json(

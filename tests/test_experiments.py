@@ -342,6 +342,33 @@ def test_C_sweep_builds_no_automaton_per_candidate(monkeypatch):
     assert 1 <= builds[FiniteLanguage] <= report.value + 2
 
 
+def test_C_all_sweep_builds_no_language_per_member(monkeypatch):
+    # an ``all`` member, code or not, is searched on its view like the code
+    # classes' members, so a language is built only when the maximum grows,
+    # against 751 canonical candidates
+    from codesync.languages import FiniteLanguage
+
+    builds = 0
+
+    def counted(self, _init=FiniteLanguage.__post_init__):
+        nonlocal builds
+        builds += 1
+        _init(self)
+
+    monkeypatch.setattr(FiniteLanguage, "__post_init__", counted)
+    assert estimate_C("all", 2, 3).value == 4
+    assert 1 <= builds <= 10
+
+
+def test_C_all_sweep_excludes_non_synchronizing_members_exactly():
+    # of the 751 canonical members at (2, 3), {aa}, A² on two letters and A²
+    # on three are codes with no pair; every other member has one of length
+    # at most 4, so none is inconclusive
+    report = estimate_C("all", 2, 3)
+    assert (report.value, report.witness_language, report.witness) == (4, ("ab", "ba"), ("ε", "abba"))
+    assert (report.instance_count, report.inconclusive_count) == (748, 0)
+
+
 def test_C_sweep_rechecks_the_view_on_the_flower(monkeypatch):
     # with no forward steps the view only finds pairs (ε, v), and at (3, 2)
     # some code's shortest pair on its flower is shorter than any of them
@@ -525,7 +552,7 @@ def test_estimate_C_random_mode_complete_prefix():
     assert a.value is not None and a.value <= 7  # the exhaustive maximum
 
 
-RANDOM_REPORTS_DIGEST = "2e75c56a08353a754b68b681ad467fcc4b7ba863332ff2db2c8aa80151f5d40a"
+RANDOM_REPORTS_DIGEST = "46a5b177bac871aa7856aed07d5153bd3ec7658e70cef656f30d02a514c01ec5"
 
 
 def test_random_reports_are_pinned():

@@ -31,7 +31,7 @@ from codesync import (
 from codesync.automata import Automaton
 from codesync.errors import DEFAULT_SUBSET_CAP, AutomatonContractError, InternalInvariantError
 from codesync import synchrony
-from codesync.synchrony import _code_sync_pair, _one_sided_flower, _one_sided_pair
+from codesync.synchrony import _flower_pair, _least_pair, _one_sided_flower, _one_sided_pair
 
 from helpers import (
     BINARY,
@@ -278,7 +278,7 @@ def test_exhausted_pair_search_stops_pairing(monkeypatch):
             raise AssertionError("more than 1,000 length pairings")
         return itertools.product(*sides)
 
-    monkeypatch.setattr(synchrony, "itertools", SimpleNamespace(count=itertools.count, product=product))
+    monkeypatch.setattr(synchrony, "itertools", SimpleNamespace(**{**vars(itertools), "product": product}))
     x = lang(["abab"])
     assert shortest_sync_pair(x, 3000) is None
     budgeted, pairings = pairings, 0
@@ -287,6 +287,19 @@ def test_exhausted_pair_search_stops_pairing(monkeypatch):
     pairings = 0
     assert shortest_sync_pair(lang(["aa", "aaaa"]), 200) is None
     assert pairings == 21
+
+
+def test_complete_non_code_pair_beyond_the_default_budget():
+    # the member of ``all`` at (3, 2) whose least pair, of length 14, lies
+    # beyond the sweep's budget of 12: found at budget 14 and with no budget,
+    # none at 13, and certified by the definition-level checker
+    x = lang(["aa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb"])
+    assert not is_code(x) and is_complete_language(x)
+    assert shortest_sync_pair(x, 13) is None
+    pair = shortest_sync_pair(x, 14)
+    assert (pair.u.text, pair.v.text) == ("aaabbaa", "aababaa")
+    assert _least_pair(x, None, DEFAULT_SUBSET_CAP) == pair
+    assert is_sync_pair(x, pair.u, pair.v, method="general")
 
 
 def test_uniform_full_square_is_not_synchronizing():
@@ -468,7 +481,8 @@ def test_one_sided_pairs_match_the_code_path_search():
         length = 12 if pair is None else pair.total_length
         for budget in (length - 1, length) if below else (length,):
             got = shortest_sync_pair(x, budget)
-            assert got == _code_sync_pair(flower_automaton(x), budget, cap), (x.word_strings(), budget)
+            code_search = _flower_pair(flower_automaton(x), True, budget, cap)
+            assert got == code_search, (x.word_strings(), budget)
             assert got == (pair if budget == length else None)
         mirrored += mirror
         silent += pair is None
