@@ -39,7 +39,6 @@ from .automata import (
     first_return_language,
     first_return_size,
     flower_automaton,
-    is_complete_automaton,
     is_deterministic,
     is_transitive,
     is_unambiguous,
@@ -53,6 +52,7 @@ from .completeness import (
     CompletionWitness,
     brute_force_incompletable,
     find_completion,
+    is_complete_automaton,
     is_complete_language,
     left_star_completion,
     shortest_incompletable,

@@ -277,18 +277,6 @@ def layered_search(
         level = nxt
 
 
-def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> bool:
-    """True iff δ(Q, u) is nonempty for every word u.
-
-    Decided by checking that ∅ is unreachable from the full state set in the
-    subset automaton.
-    """
-    _, hit = subset_bfs(
-        automaton, automaton.full_mask, goal=lambda t: not t, cap=cap, what="completeness check"
-    )
-    return hit is None
-
-
 def _reach(automaton: Automaton, start: int, back: bool) -> int:
     """Mask of the states reachable from ``start`` (co-reachable when ``back``)."""
     step = automaton.step_letter_back if back else automaton.step_letter

@@ -98,8 +98,8 @@ def cmd_analyze(args) -> int:
     if len(core) == 0:
         return _degenerate(args, x)
     code = is_code(core)
-    complete = is_complete_language(core)
-    witness = None if complete else shortest_incompletable(core)
+    witness = None if code and is_complete_language(core) else shortest_incompletable(core)
+    complete = witness is None
     pair = shortest_sync_pair(core, args.budget)
     data = {
         "words": x.word_strings(),

@@ -52,6 +52,11 @@ def _incompletable_word(automaton: Automaton, cap: int) -> Optional[Word]:
     return word
 
 
+def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+    """True iff δ(Q, u) is nonempty for every word u."""
+    return _incompletable_word(automaton, cap) is None
+
+
 def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """True iff every word is completable in X.
 

@@ -154,7 +154,7 @@ def _is_canonical(lo: int, hi: int, ranks: list[tuple[list[int], list[int]]]) ->
     return True
 
 
-def _in_class(language: FiniteLanguage, class_tag: str, cap: int) -> bool:
+def _in_class(language: FiniteLanguage, class_tag: str) -> bool:
     if class_tag == "all":
         return True
     if class_tag == "codes":
@@ -162,9 +162,9 @@ def _in_class(language: FiniteLanguage, class_tag: str, cap: int) -> bool:
     if class_tag == "prefix":
         return is_prefix(language)
     if class_tag == "complete-codes":
-        return is_code(language) and is_complete_language(language, cap)
+        return is_code(language) and is_complete_language(language)
     if class_tag == "complete-prefix":
-        return is_prefix(language) and is_complete_language(language, cap)
+        return is_prefix(language) and is_complete_language(language)
     raise CodesyncError(f"unknown class tag {class_tag!r}")
 
 
@@ -384,7 +384,6 @@ def sample_class_languages(
     d: int,
     samples: int,
     seed: int,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[FiniteLanguage]:
     """Seeded in-class random instances.
 
@@ -400,7 +399,7 @@ def sample_class_languages(
             language = _random_complete_instance(
                 rng, n, d, allow_reverse=class_tag == "complete-codes"
             )
-            if not _in_class(language, class_tag, cap):
+            if not _in_class(language, class_tag):
                 raise InternalInvariantError(
                     f"a letter-permuted Kraft tree is not in {class_tag}",
                     {"words": language.word_strings(), "class": class_tag, "index": index},
@@ -409,7 +408,7 @@ def sample_class_languages(
             continue
         for _ in range(_MAX_DRAWS_PER_SAMPLE):
             language = random_language(rng, n, d)
-            if _in_class(language, class_tag, cap):
+            if _in_class(language, class_tag):
                 yield language
                 break
         else:
@@ -431,7 +430,6 @@ def _sweep(
     samples: int,
     seed: int,
     instance_cap: int,
-    cap: int,
     evaluate,
     recheck,
 ) -> ExperimentReport:
@@ -459,7 +457,7 @@ def _sweep(
     elif mode == "random":
         instances = (
             (flower_automaton(x), lambda x=x: x)
-            for x in sample_class_languages(class_tag, n, d, samples, seed, cap)
+            for x in sample_class_languages(class_tag, n, d, samples, seed)
         )
     else:
         raise CodesyncError(f"unknown mode {mode!r}")
@@ -499,9 +497,6 @@ def _sweep(
     )
 
 
-_COMPLETE = 1  # the table entry of a complete member
-
-
 def _incompletable_from_subsets(cap: int):
     """The exhaustive R evaluator: ``evaluate(view)`` gives the least
     incompletable word of each member, read off its subsets where they decide
@@ -509,16 +504,15 @@ def _incompletable_from_subsets(cap: int):
 
     Members come in ascending mask order, so every member S ∖ {x} has been
     evaluated before S.  ``table`` keeps one entry per pool mask: 0 for a mask
-    not seen, ``_COMPLETE``, or the index in ``words`` of the member's least
-    incompletable word.  If one S ∖ {x} is complete, so is S.  Otherwise S's
-    least word is at least each stored word, so only the largest of them can
-    be incompletable for S, and it is S's least word when it walks
-    ``full_mask`` to ∅.  Only a member that no subset decides is searched.
+    not seen, 1 for a complete member, or the index k ≥ 2 in ``found`` of the
+    ``(sort key, word)`` pair of the member's least incompletable word.  If one
+    S ∖ {x} is complete, so is S.  Otherwise S's least word is at least each
+    stored word, so only the largest of them can be incompletable for S, and
+    it is S's least word, under the same entry, when it walks ``full_mask`` to
+    ∅.  Only a member that no subset decides is searched and adds an entry.
     """
     table = None
-    words: list[Optional[Word]] = [None, None]  # indexed by the entries ≥ 2
-    keys: list = [None, None]  # their (length, lex) sort keys
-    ids: dict[tuple[int, ...], int] = {}
+    found: list = [(None, None)] * 2  # entries 0 and 1 hold no word
 
     def evaluate(view: _PoolView):
         nonlocal table
@@ -530,26 +524,24 @@ def _incompletable_from_subsets(cap: int):
             bit = rest & -rest
             rest ^= bit
             k = table[s ^ bit]
-            if k == _COMPLETE:
-                table[s] = _COMPLETE
+            if k == 1:
+                table[s] = 1
                 return None
-            if k and (not best or keys[k] > keys[best]):
+            if k and (not best or found[k][0] > found[best][0]):
                 best = k
-        w = words[best]
+        w = found[best][1]
         if w is not None:
             t = view.full_mask
             for a in w.indices:
                 t = view.step_letter(t, a)
         if w is None or t:
             w = _incompletable_word(view, cap)
-        if w is None:
-            table[s] = _COMPLETE
-            return None
-        k = ids.setdefault(w.indices, len(words))
-        if k == len(words):
-            words.append(w)
-            keys.append(w.sort_key())
-        table[s] = k
+            if w is None:
+                table[s] = 1
+                return None
+            best = len(found)
+            found.append((w.sort_key(), w))
+        table[s] = best
         return len(w), (w,)
 
     return evaluate
@@ -588,7 +580,7 @@ def estimate_R(
     else:
         evaluate = partial(incompletable, _incompletable_word)
     return _sweep(
-        "R", class_tag, n, d, mode, samples, seed, instance_cap, cap,
+        "R", class_tag, n, d, mode, samples, seed, instance_cap,
         evaluate, partial(incompletable, shortest_incompletable),
     )
 
@@ -636,7 +628,7 @@ def estimate_C(
         return _INCONCLUSIVE if pair.total_length > budget else found(pair)
 
     return _sweep(
-        "C", class_tag, n, d, mode, samples, seed, instance_cap, cap,
+        "C", class_tag, n, d, mode, samples, seed, instance_cap,
         evaluate, lambda language: found(shortest_sync_pair(language, budget, cap)),
     )
 
@@ -675,7 +667,7 @@ def random_complete_sync_codes(
             language = language.reversed()
         for failure, holds in (
             ("is not a code", lambda: is_code(language)),
-            ("is incomplete", lambda: is_complete_language(language, cap)),
+            ("is incomplete", lambda: is_complete_language(language)),
             ("does not synchronize", lambda: is_synchronizing_code(language, cap)),
         ):
             if not holds():

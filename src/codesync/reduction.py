@@ -339,7 +339,7 @@ def synchronizing_pair_via_reduction(
     """
     if not is_code(language):
         raise NotACode("the reduction pipeline requires a code")
-    if not is_complete_language(language, cap):
+    if not is_complete_language(language):
         raise NotComplete("the reduction pipeline requires a complete code")
     if pair is None:
         pair = shortest_sync_pair(language, budget, cap)

@@ -266,7 +266,7 @@ def _least_pair(
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
     code = is_code(language)
-    one_sided = _one_sided_flower(language, cap) if code and not letter_change else None
+    one_sided = _one_sided_flower(language) if code and not letter_change else None
     if one_sided is None:
         return _flower_pair(flower_automaton(language), code, budget, cap, letter_change)
     return _one_sided_pair(*one_sided, budget, cap)
@@ -356,7 +356,7 @@ def _pair_search(
     return None
 
 
-def _one_sided_flower(language: FiniteLanguage, cap: int) -> Optional[tuple[Automaton, bool]]:
+def _one_sided_flower(language: FiniteLanguage) -> Optional[tuple[Automaton, bool]]:
     """For a code X that is complete and prefix, its flower automaton and
     False; complete and suffix only, the flower of its mirror image and True;
     otherwise None.  X must be an ε-free code, so completeness is its Kraft sum.
@@ -364,7 +364,7 @@ def _one_sided_flower(language: FiniteLanguage, cap: int) -> Optional[tuple[Auto
     preimage search of :func:`_one_sided_pair` gives the image side's answer,
     so a letter of it that is not total raises :class:`InternalInvariantError`.
     """
-    if not is_complete_language(language, cap):
+    if not is_complete_language(language):
         return None
     mirror = not is_prefix(language)
     prefix_code = language.reversed() if mirror else language

@@ -207,7 +207,7 @@ def enumerate_class_languages_reference(class_tag: str, n: int, d: int, canonica
         if canonicalize and not canonical_under_permutation(tuple(u.indices for u in chosen), d):
             continue
         language = FiniteLanguage(alphabet, chosen)
-        if _in_class(language, class_tag, 2 ** 20):
+        if _in_class(language, class_tag):
             yield language
 
 

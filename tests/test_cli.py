@@ -40,6 +40,48 @@ def test_analyze(capsys, example_file):
     assert data["sync_pair_within_budget"] == ["ε", "abba"]
 
 
+def test_analyze_searches_an_incomplete_non_code_once(capsys, example_file, monkeypatch):
+    # a non-code's completeness is its incompletable-word search, so the
+    # search that decides it also gives the witness
+    from codesync import completeness
+
+    calls = []
+    real = completeness._incompletable_word
+
+    def counted(automaton, cap):
+        calls.append(automaton)
+        return real(automaton, cap)
+
+    monkeypatch.setattr(completeness, "_incompletable_word", counted)
+    code, data = run_json(capsys, ["analyze", example_file, "--json"])
+    assert code == 0 and data["shortest_incompletable"] == "abbabba"
+    assert len(calls) == 1
+
+
+def test_analyze_without_a_pair_within_budget(capsys, tmp_path):
+    # {aa} is a complete code on one letter that does not synchronize
+    p = tmp_path / "aa.lang"
+    p.write_text("alphabet: a\naa\n")
+    assert main(["analyze", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "no synchronizing pair with |uv| ≤ 8 found"
+
+
+def test_json_words_without_an_alphabet(capsys, tmp_path):
+    # string words infer their alphabet; index-form words cannot
+    p = tmp_path / "strings.json"
+    p.write_text('{"words": ["ab", "ba", "aa"]}')
+    code, data = run_json(capsys, ["analyze", str(p), "--json"])
+    assert code == 0
+    assert (data["alphabet"], data["words"]) == (["a", "b"], ["aa", "ab", "ba"])
+    p = tmp_path / "indices.json"
+    p.write_text('{"words": [[0, 1], [1]]}')
+    assert main(["analyze", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: index-form words require an explicit alphabet"]
+
+
 def test_analyze_reads_the_epsilon_free_core(capsys, tmp_path):
     """Every property is that of {a, ba, bb}, the core without ε."""
     p = tmp_path / "eps.lang"
@@ -239,6 +281,16 @@ def test_encode_power2(capsys, tmp_path):
     assert data["kind"] == "synchronizing"
     assert data["profile"]["lengths"] == [1, 3, 3, 2]
     assert data["ledger"]["ok"] is True
+
+
+def test_encode_power2_needs_a_power_of_two_alphabet(capsys, tmp_path):
+    p = tmp_path / "tern.lang"
+    p.write_text("alphabet: a b c\na\nb\nca\ncb\ncc\n")
+    assert main(["encode", str(p), "--mode", "power2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_encode_general_complete_sync(capsys, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codesync import (
     Alphabet,
@@ -171,6 +172,29 @@ def test_oracle_equivalence_exhaustive():
             slow = brute_force_incompletable(x, len(fast))
             assert slow is not None and len(slow) == len(fast), x.word_strings()
             assert slow == fast  # both take the lexicographically least witness
+
+
+@st.composite
+def _small_sets_and_cuts(draw):
+    """An ε-free set of 1–4 words of length ≤ 3 over 1–3 letters, code or
+    not, and the length M at which brute force stops: 6 on one or two
+    letters, 5 on three."""
+    d = draw(st.integers(1, 3))
+    words = st.lists(st.integers(0, d - 1), min_size=1, max_size=3).map(tuple)
+    alphabet = Alphabet.lowercase(d)
+    chosen = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+    return FiniteLanguage(alphabet, tuple(Word(alphabet, t) for t in chosen)), 6 if d <= 2 else 5
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_small_sets_and_cuts())
+def test_incompletable_search_matches_brute_force(case):
+    # the search's word cut at M, as ``codesync incompletable --max-len``
+    # cuts it: both give no word within M, or the same word
+    x, max_len = case
+    word = shortest_incompletable(x)
+    within = word if word is not None and len(word) <= max_len else None
+    assert within == brute_force_incompletable(x, max_len), x.word_strings()
 
 
 def test_incompletability_is_factor_closed():

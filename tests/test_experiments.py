@@ -45,6 +45,7 @@ from helpers import (
     estimate_reference,
     has_completion_brute,
     lang,
+    w,
 )
 
 
@@ -502,6 +503,19 @@ def test_exhaustive_sweeps_at_three_are_pinned(kind, tag):
     assert got == SWEEP_REPORTS[kind, tag]
 
 
+@pytest.mark.slow
+def test_C_all_at_three_is_fourteen():
+    # the (3, 2) ``all`` maximum lies beyond the default budget of 12; at
+    # budget 14 it is exact, with no member inconclusive (about 2 s)
+    report = estimate_C("all", 3, 2, budget=14).to_dict()
+    got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
+    assert got == (
+        14, ["aa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb"], ["aaabbaa", "aababaa"], 8251, 0,
+    )
+    u, v = (w(t) for t in report["witness"])
+    assert is_sync_pair(lang(report["witness_language"]), u, v, method="general")
+
+
 def test_random_language_distribution_shape():
     import random as _random
 
@@ -535,9 +549,9 @@ def test_a_complete_class_draw_outside_its_class_raises(monkeypatch, tag):
     calls = []
     real = experiments._in_class
 
-    def first_fails(language, class_tag, cap):
+    def first_fails(language, class_tag):
         calls.append(language)
-        return len(calls) > 1 and real(language, class_tag, cap)
+        return len(calls) > 1 and real(language, class_tag)
 
     monkeypatch.setattr(experiments, "_in_class", first_fails)
     with pytest.raises(InternalInvariantError) as err:

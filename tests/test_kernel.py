@@ -72,8 +72,9 @@ def _prefix_aprime():
 @pytest.mark.parametrize(
     "call, context",
     [
-        (lambda: is_complete_automaton(flower_automaton(cerny_family(4)), cap=1),
-         "completeness check"),
+        pytest.param(lambda: is_complete_automaton(flower_automaton(cerny_family(4)), cap=1),
+                     "incompletable-word search",
+                     id="is_complete_automaton"),
         (lambda: shortest_incompletable(lang(EXAMPLE_SET), cap=1), "incompletable-word search"),
         (lambda: sync_word_shortest(determinize_minimize(flower_automaton(cerny_family(4))), cap=1),
          "reset-word search"),

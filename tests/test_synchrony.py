@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from codesync import (
     Alphabet,
+    EpsilonNotAllowed,
     FiniteLanguage,
     NotInStar,
     ParseError,
@@ -257,7 +258,7 @@ def test_synchronization_matches_the_two_family_reference(corpus, expected):
     for x in codes:
         got = is_synchronizing_code(x)
         assert got == synchronizes_reference(x), x.word_strings()
-        non_sync_two_sided += not got and _one_sided_flower(x, DEFAULT_SUBSET_CAP) is None
+        non_sync_two_sided += not got and _one_sided_flower(x) is None
     assert (len(codes), non_sync_two_sided) == expected
 
 
@@ -287,6 +288,11 @@ def test_exhausted_pair_search_stops_pairing(monkeypatch):
     pairings = 0
     assert shortest_sync_pair(lang(["aa", "aaaa"]), 200) is None
     assert pairings == 21
+
+
+def test_shortest_sync_pair_refuses_epsilon():
+    with pytest.raises(EpsilonNotAllowed):
+        shortest_sync_pair(lang(["ε", "a", "b"]))
 
 
 def test_complete_non_code_pair_beyond_the_default_budget():
@@ -470,13 +476,13 @@ def test_one_sided_pairs_match_the_code_path_search():
     # the same pair at its length and none one below it.  X_8's two-sided
     # search below its length alone takes about 0.5 s, so X_8 skips that one.
     cap = DEFAULT_SUBSET_CAP
-    cases = [(x, True) for x in small_class_languages("complete-codes") if _one_sided_flower(x, cap)]
+    cases = [(x, True) for x in small_class_languages("complete-codes") if _one_sided_flower(x)]
     small = len(cases)
     cases += [(cerny_family(n), n < 8) for n in range(3, 9)]
     cases += [(cerny_family(n).reversed(), True) for n in range(3, 8)]
     mirrored = silent = 0
     for x, below in cases:
-        automaton, mirror = _one_sided_flower(x, cap)
+        automaton, mirror = _one_sided_flower(x)
         pair = _one_sided_pair(automaton, mirror, None, cap)
         length = 12 if pair is None else pair.total_length
         for budget in (length - 1, length) if below else (length,):
@@ -497,13 +503,13 @@ def test_one_sided_pair_matches_the_image_side_reference():
     from codesync.experiments import random_complete_sync_codes
 
     cap = DEFAULT_SUBSET_CAP
-    cases = [x for x in small_class_languages("complete-codes") if _one_sided_flower(x, cap)]
+    cases = [x for x in small_class_languages("complete-codes") if _one_sided_flower(x)]
     cases += [cerny_family(n) for n in range(3, 9)] + [cerny_family(n).reversed() for n in range(3, 8)]
     for x in random_complete_sync_codes(150, seed=0, max_size=6):
         cases += [x, swap_letters(x)]
     found = mirrored = 0
     for x in cases:
-        automaton, mirror = _one_sided_flower(x, cap)
+        automaton, mirror = _one_sided_flower(x)
         for budget in (0, 6, 18, (x.size - 1) ** 2, None):
             pair = _one_sided_pair(automaton, mirror, budget, cap)
             assert pair == one_sided_pair_reference(automaton, mirror, budget), (x.word_strings(), budget)
@@ -525,7 +531,7 @@ def test_one_sided_flower_requires_total_letters(monkeypatch):
     )
     monkeypatch.setattr(synchrony, "flower_automaton", lambda language: broken)
     with pytest.raises(InternalInvariantError) as err:
-        _one_sided_flower(x, DEFAULT_SUBSET_CAP)
+        _one_sided_flower(x)
     assert err.value.details == {"words": x.word_strings(), "mirror": False}
 
 
