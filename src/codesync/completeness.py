@@ -65,11 +65,21 @@ def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
     sum Σ d^−|x| is 1, tested in integers as Σ d^(ℓ−|x|) = d^ℓ, with no search
     and no cap.  Any other set is decided by the search for an incompletable
     word, which its Kraft sum does not replace.
+
+    The answer is memoized on the language with the cap it was found under (0
+    for a Kraft sum); a smaller cap searches again, so a cap error is raised
+    exactly when it would be without the memo, and is never memoized.
     """
+    memo = language._memo.get("complete")
+    if memo is not None and memo[1] <= cap:
+        return memo[0]
     if not language.contains_epsilon and is_code(language):
         d, top = len(language.alphabet), language.size
-        return sum(d ** (top - len(x)) for x in language.words) == d ** top
-    return shortest_incompletable(language, cap) is None
+        complete, cap = sum(d ** (top - len(x)) for x in language.words) == d ** top, 0
+    else:
+        complete = shortest_incompletable(language, cap) is None
+    language._memo["complete"] = complete, cap
+    return complete
 
 
 def _state_words(automaton: Automaton, back: bool) -> list[Optional[Word]]:

@@ -178,8 +178,9 @@ class FiniteLanguage:
     """A finite set of words over one alphabet, canonically ordered.
 
     ``size`` is the maximal word length, 0 for the empty language.  Derived
-    structures (the flower automaton, its subset families, the code test) are
-    memoized on the instance, so they live exactly as long as the language does.
+    structures (the flower automaton, its subset families, the code test and
+    the completeness test) are memoized on the instance, so they live exactly
+    as long as the language does.
     """
 
     alphabet: Alphabet

@@ -5,7 +5,10 @@ Qu ∩ Qv⁻¹ = {1} on the flower automaton, the exact criterion when X is a
 code.  The general path quantifies over the context families, the subsets
 S = δ(1, r) and T = {q : 1 ∈ δ(q, s)}, finite and memoized on the language,
 and checks that every completion context splits: δ(S, uv) ∩ T ≠ ∅ implies
-1 ∈ δ(S, u) and δ(1, v) ∩ T ≠ ∅.
+1 ∈ δ(S, u) and δ(1, v) ∩ T ≠ ∅.  It steps the distinct images δ(S, ·) once
+each, since many S ∈ F share one, and decides each against two unions of the
+T; it does not merge the S into the unions the pair search keys on, so it
+stays an independent check of that search.
 
 One least-pair search serves every ε-free X (:func:`_pair_search`): it pairs
 X*-representatives, the least words of X* with a given key (what the pair
@@ -99,11 +102,19 @@ def _general_pair_check(
         union_all |= t_mask
         if not d1v & t_mask:
             union_bad |= t_mask
-    for s_mask in fwd:
-        su = automaton.step_word(s_mask, u)
-        suv = automaton.step_word(su, v)
-        blocked = union_bad if su & init else union_all
-        if suv & blocked:
+    # δ(S, w) depends on S only through its mask, so the distinct images are
+    # stepped once each (∅ meets nothing and is dropped), not each S ∈ F on
+    # its own.  The S side is not collapsed into the unions P(u) and R(u):
+    # _pair_search keys on those, and this checker stays apart from it.
+    step = automaton.step_letter
+    images = set(fwd)
+    for a in u.indices:
+        images = {t for s in images if (t := step(s, a))}
+    hold = {s for s in images if s & init}
+    for group, blocked in ((hold, union_bad), (images - hold, union_all)):
+        for a in v.indices:
+            group = {t for s in group if (t := step(s, a))}
+        if any(s & blocked for s in group):
             return False
     return True
 

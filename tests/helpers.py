@@ -429,6 +429,47 @@ def synchronizes_reference(language: FiniteLanguage) -> bool:
     return any(s & t == 1 for s in family(fwd) if s & 1 for t in backward)
 
 
+def general_pair_reference(language: FiniteLanguage, u: Word, v: Word) -> bool:
+    """Reference general pair test for any ε-free X, taken from the definition
+    on :func:`flower_reference`: F = {δ(1, r)} and B = {T_s} = {1s⁻¹} are
+    closed from {1} (bit 0), and for every S ∈ F and T ∈ B, δ(S, uv) ∩ T ≠ ∅
+    must imply 1 ∈ δ(S, u) and δ(1, v) ∩ T ≠ ∅."""
+    _, _, letter_rows, rev_rows = flower_reference(language)
+    d = len(language.alphabet)
+
+    def step(s, rows, a):
+        t = 0
+        for q, m in enumerate(rows[a]):
+            if s >> q & 1:
+                t |= m
+        return t
+
+    def family(rows) -> set[int]:
+        seen, todo = {1}, [1]
+        while todo:
+            s = todo.pop()
+            for a in range(d):
+                t = step(s, rows, a)
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    def image(s, word):
+        for a in word.indices:
+            s = step(s, letter_rows, a)
+        return s
+
+    one_v, backward = image(1, v), family(rev_rows)
+    for s in family(letter_rows):
+        su = image(s, u)
+        suv = image(su, v)
+        for t in backward:
+            if suv & t and not (su & 1 and one_v & t):
+                return False
+    return True
+
+
 def strongly_connected_reference(table) -> bool:
     """Warshall closure of the transition graph read from a plain table
     (``table[q][a]`` a target bitmask): every state reaches every other."""

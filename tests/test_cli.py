@@ -58,6 +58,26 @@ def test_analyze_searches_an_incomplete_non_code_once(capsys, example_file, monk
     assert len(calls) == 1
 
 
+def test_encode_searches_a_complete_non_code_once(capsys, tmp_path, monkeypatch):
+    # the completeness answer is memoized on X, so cmd_encode and the
+    # reduction share one search of X; the second is h(X)'s
+    from codesync import completeness
+
+    sizes = []
+    real = completeness._incompletable_word
+
+    def counted(automaton, cap):
+        sizes.append(automaton.n_states)
+        return real(automaton, cap)
+
+    monkeypatch.setattr(completeness, "_incompletable_word", counted)
+    p = tmp_path / "abc.lang"
+    p.write_text("alphabet: a b c\na\nb\nc\nab\n")
+    assert main(["encode", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("pair: (a, ε); ledger: ")
+    assert sizes == [2, 4]
+
+
 def test_analyze_without_a_pair_within_budget(capsys, tmp_path):
     # {aa} is a complete code on one letter that does not synchronize
     p = tmp_path / "aa.lang"

@@ -264,6 +264,23 @@ def test_non_codes_and_epsilon_languages_still_search():
         is_complete_language(lang(["ε", "a", "b"]))
 
 
+def test_completeness_is_memoized_but_a_cap_error_is_not(monkeypatch):
+    from codesync import completeness
+
+    calls = []
+    real = completeness._incompletable_word
+    monkeypatch.setattr(completeness, "_incompletable_word", lambda a, cap: calls.append(cap) or real(a, cap))
+    x = lang(["a", "b", "ab"])  # a complete non-code
+    with pytest.raises(SubsetCapExceeded):
+        is_complete_language(x, cap=1)
+    assert is_complete_language(x) and is_complete_language(x)
+    assert calls == [1, DEFAULT_SUBSET_CAP]
+    # a smaller cap than the memoized answer's searches again, and may fail
+    with pytest.raises(SubsetCapExceeded):
+        is_complete_language(x, cap=1)
+    assert calls == [1, DEFAULT_SUBSET_CAP, 1]
+
+
 @pytest.mark.parametrize("n, d", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)])
 def test_full_block_minus_one_word_needs_quadratic_witnesses(n, d):
     # over all w ∈ A^n, the longest shortest incompletable word of A^n ∖ {w}

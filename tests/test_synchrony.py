@@ -40,6 +40,7 @@ from helpers import (
     EXAMPLE_SET,
     count_steps,
     exhaustive_corpus,
+    general_pair_reference,
     lang,
     one_sided_pair_reference,
     random_complete_code,
@@ -433,20 +434,47 @@ def _seeded_codes():
     return tuple(codes)
 
 
+@lru_cache(maxsize=1)
+def _seeded_sets():
+    """The seeded codes and random non-codes over 2 and 3 letters."""
+    non_codes = [x for x in random_language_sample(18, 240, 3) if not is_code(x)]
+    non_codes += [x for x in random_language_sample(19, 120, 2, 3) if not is_code(x)]
+    return _seeded_codes() + tuple(non_codes)
+
+
 @st.composite
-def _codes_and_star_pairs(draw):
-    """A seeded code with u and v, each a concatenation of 0–4 codewords."""
-    x = draw(st.sampled_from(_seeded_codes()))
+def _star_pairs(draw, corpus):
+    """A language of ``corpus()`` with u and v, each a concatenation of 0–4
+    of its words."""
+    x = draw(st.sampled_from(corpus()))
     factors = st.lists(st.sampled_from(x.words), max_size=4)
     u, v = (sum(draw(factors), Word.epsilon(x.alphabet)) for _ in "uv")
     return x, u, v
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(_codes_and_star_pairs())
+@given(_star_pairs(_seeded_codes))
 def test_code_and_general_checkers_agree_on_codes(case):
     x, u, v = case
     assert is_sync_pair(x, u, v, method="code") == is_sync_pair(x, u, v, method="general")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_star_pairs(_seeded_sets))
+def test_general_checker_matches_the_definition(case):
+    x, u, v = case
+    assert is_sync_pair(x, u, v, method="general") == general_pair_reference(x, u, v)
+
+
+@pytest.mark.parametrize("n, most", [(8, 1_000), (10, 3_000)])
+def test_general_checker_steps_each_distinct_image_once(monkeypatch, n, most):
+    # stepping each S ∈ F through uv on its own took 9,359 steps on X_8 and
+    # 62,127 on X_10; the distinct images take 584 and 1,956
+    x, pair = cerny_family(n), cerny_canonical_pair(n)
+    synchrony._context_families(x, DEFAULT_SUBSET_CAP)
+    counts = count_steps(monkeypatch)
+    assert is_sync_pair(x, pair.u, pair.v, method="general")
+    assert counts["step_letter"] <= most
 
 
 @st.composite
