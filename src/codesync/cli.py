@@ -140,7 +140,11 @@ def cmd_incompletable(args) -> int:
         brute = brute_force_incompletable(x, args.max_len)
         within = w is not None and len(w) <= args.max_len
         if within != (brute is not None) or (within and len(w) != len(brute)):
-            raise CodesyncError("oracle disagreement between search and brute force")
+            raise InternalInvariantError(
+                "oracle disagreement between search and brute force",
+                {"words": x.word_strings(), "search": None if w is None else w.text,
+                 "brute_force": None if brute is None else brute.text, "max_len": args.max_len},
+            )
     if w is None:
         _emit(args, {"complete": True, "witness": None}, "language is complete")
         return EXIT_FALSE
@@ -243,18 +247,21 @@ def cmd_encode(args) -> int:
     x = _core(language)
     if len(x) == 0:
         return _degenerate(args, language)
-    if args.mode == "uniform":
-        pair, trace = uniform_sync_encoding(x)
-    elif args.mode == "power2":
-        if len(x.alphabet) & (len(x.alphabet) - 1):
-            raise ParseError("power2 mode needs a power-of-two source alphabet")
-        pair, trace = reduce_sync_to_binary(x)
-    else:
-        if is_complete_language(x):
+    try:
+        if args.mode == "uniform":
+            pair, trace = uniform_sync_encoding(x)
+        elif args.mode == "power2":
+            if len(x.alphabet) & (len(x.alphabet) - 1):
+                raise ParseError("power2 mode needs a power-of-two source alphabet")
+            pair, trace = reduce_sync_to_binary(x)
+        elif is_complete_language(x):
             pair, trace = reduce_sync_to_binary(x)
         else:
             word, trace = reduce_incompletable_to_binary(x)
             pair = None
+    except NotSynchronizing as e:
+        _emit(args, {"synchronizing": False, "reason": str(e)}, str(e))
+        return EXIT_FALSE
     data = json.loads(trace.to_json())
     if trace.kind == "incompletable":
         text = f"incompletable word of X: {trace.decoded.text}; ledger: {trace.ledger}"
@@ -298,18 +305,8 @@ def cmd_cerny(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    common = dict(
-        class_tag=args.klass,
-        n=args.n,
-        d=args.d,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    if args.kind == "R":
-        report = estimate_R(**common)
-    else:
-        report = estimate_C(budget=args.budget, **common)
+    estimate = estimate_R if args.kind == "R" else estimate_C
+    report = estimate(args.klass, args.n, args.d, args.mode, samples=args.samples, seed=args.seed)
     if args.out:
         _write(args.out, report.to_json())
     if args.csv:
@@ -384,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=12)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_experiment)

@@ -384,17 +384,17 @@ def reduce_incompletable_to_binary(
 
 def reduce_sync_to_binary(
     language: FiniteLanguage,
-    budget: int = 16,
     seed: int = DEFAULT_COLORING_SEED,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> tuple[SyncPair, BinaryReductionTrace]:
     """Derive a synchronizing pair of X from one of its binary encoding.
 
-    X must be complete and synchronizing.  The alphabet is encoded on a
-    road-colored synchronizing complete binary prefix code (general profile,
-    or the power-of-two profile when d = 2^m); completeness and
-    synchronization transfer to h(X), whose exact shortest pair is decoded
-    back and re-verified on X.
+    X must be complete.  The alphabet is encoded on a road-colored
+    synchronizing complete binary prefix code (general profile, or the
+    power-of-two profile when d = 2^m); completeness and synchronization
+    transfer to h(X), whose exact shortest pair, found with no budget, is
+    decoded back and re-verified on X.  When h(X) has no pair, X does not
+    synchronize, and :class:`NotSynchronizing` is raised.
     """
     d = len(language.alphabet)
     if d < 3:
@@ -412,11 +412,9 @@ def reduce_sync_to_binary(
     details = {"language": language.word_strings(), "image_code": y.word_strings()}
     if not is_complete_language(hx, cap):
         raise InternalInvariantError("h(X) is incomplete although X and h(A) are complete", details)
-    pair_b = shortest_sync_pair(hx, budget, cap)
+    pair_b = shortest_sync_pair(hx, None, cap)
     if pair_b is None:
-        raise SearchBudgetExceeded(
-            f"no synchronizing pair of h(X) with |uv| ≤ {budget} found"
-        )
+        raise NotSynchronizing("X is complete and does not synchronize: h(X) has no pair")
     u, ru = h.decode_prefix(pair_b.u)
     v, rv = h.decode_prefix(pair_b.v)
     details["pair"] = [pair_b.u.text, pair_b.v.text]
@@ -451,7 +449,6 @@ def reduce_sync_to_binary(
 
 def uniform_sync_encoding(
     language: FiniteLanguage,
-    budget: int = 12,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> tuple[Optional[SyncPair], BinaryReductionTrace]:
     """Transport a synchronizing pair through a uniform binary encoding.
@@ -461,8 +458,11 @@ def uniform_sync_encoding(
     some synchronizing pair (y₁, y₂) of X receive the special images
     h(α) = b·a^{m-1} and h(β) = a^{m-1}·b, and (h(y₁), h(y₂)) then
     synchronizes h(X).  When X lies in a single letter's star the unary
-    fallback applies and no encoding is produced; when no suitable pair is
-    found within the budget, that unhandled case is reported explicitly.
+    fallback applies and no encoding is produced.  Otherwise X synchronizes
+    iff such a pair exists: with (u, v) every (xu, vy), x, y ∈ X*, is a pair,
+    and X* holds words that make xuvy change letter.  The search for the
+    least one has no budget, and :class:`NotSynchronizing` is raised when
+    there is none.
     """
     d = len(language.alphabet)
     letters_used = {i for w in language.words for i in w.indices}
@@ -478,11 +478,9 @@ def uniform_sync_encoding(
         )
         return None, trace
 
-    pair = _least_pair(language, budget, cap, letter_change=True)
+    pair = _least_pair(language, None, cap, letter_change=True)
     if pair is None:
-        raise SearchBudgetExceeded(
-            "no synchronizing pair with two distinct adjacent letters found within budget"
-        )
+        raise NotSynchronizing("X does not synchronize: it has no pair")
     uv = (pair.u + pair.v).indices
     alpha, beta = next((a, b) for a, b in zip(uv, uv[1:]) if a != b)
 

@@ -418,9 +418,6 @@ def sample_class_languages(
             )
 
 
-_INCONCLUSIVE = object()  # an evaluator's answer when the search ran out of budget
-
-
 def _sweep(
     kind: str,
     class_tag: str,
@@ -438,10 +435,11 @@ def _sweep(
     An instance is an automaton-like object, a :class:`_PoolView` of each
     class member in exhaustive mode and the flower of each sample in random
     mode, with a thunk that builds its language.  ``evaluate(automaton)``
-    answers None for a non-instance, ``_INCONCLUSIVE``, or (length,
-    witness words).  The language is built only when the maximum grows, and
-    ``recheck(language)``, a language-level search, must then give the same
-    answer.
+    answers None for a non-instance or (length, witness words).  The language
+    is built only when the maximum grows, and ``recheck(language)``, a
+    language-level search, must then give the same answer.  Every evaluator
+    decides each instance exactly, so the report's ``inconclusive_count``,
+    kept in its schema, is 0.
     """
     if n < 1:
         raise CodesyncError(f"the word length n must be at least 1, got {n}")
@@ -462,13 +460,10 @@ def _sweep(
     else:
         raise CodesyncError(f"unknown mode {mode!r}")
     value = witness_language = witness = None
-    count = inconclusive = 0
+    count = 0
     for automaton, build in instances:
         found = evaluate(automaton)
         if found is None:
-            continue
-        if found is _INCONCLUSIVE:
-            inconclusive += 1
             continue
         count += 1
         if value is None or found[0] > value:
@@ -490,7 +485,7 @@ def _sweep(
         witness_language=witness_language,
         witness=witness,
         instance_count=count,
-        inconclusive_count=inconclusive,
+        inconclusive_count=0,
         samples=samples if mode == "random" else None,
         seed=seed if mode == "random" else None,
         elapsed_seconds=time.monotonic() - start,
@@ -590,7 +585,6 @@ def estimate_C(
     n: int,
     d: int,
     mode: str = "exhaustive",
-    budget: int = 12,
     samples: int = 500,
     seed: int = 0,
     instance_cap: int = DEFAULT_INSTANCE_CAP,
@@ -598,10 +592,11 @@ def estimate_C(
 ) -> ExperimentReport:
     """Max over synchronizing class instances of the minimal pair length.
 
-    Every instance runs one unbudgeted least-pair search, which decides
-    whether it synchronizes and gives its pair: an instance with no pair is
-    excluded exactly, in every class, and one whose pair is longer than the
-    budget is counted as inconclusive and never folded into the max.
+    Every instance runs one least-pair search with no budget, which decides
+    whether it synchronizes and gives its pair, so an instance with no pair
+    is excluded exactly, in every class.  The search ends on its own: once
+    its two sides have ended after E_u and E_v levels, no pair is longer
+    than E_u + E_v − 2 (see :func:`~codesync.synchrony._pair_search`).
 
     Exhaustive mode searches each member on a view of the pool trie and
     builds a language only when the maximum grows, checking the pair again
@@ -612,24 +607,18 @@ def estimate_C(
     ``all`` member, which need not be a code, its context search, exact on
     any ε-free X.
     """
-    if budget < 0:
-        raise CodesyncError(f"the pair budget must be at least 0, got {budget}")
 
     def found(pair):
-        return _INCONCLUSIVE if pair is None else (pair.total_length, (pair.u, pair.v))
+        return None if pair is None else (pair.total_length, (pair.u, pair.v))
 
     def evaluate(automaton):
         if class_tag == "complete-prefix":
-            pair = _one_sided_pair(automaton, False, None, cap)
-        else:
-            pair = _flower_pair(automaton, class_tag != "all", None, cap)
-        if pair is None:
-            return None
-        return _INCONCLUSIVE if pair.total_length > budget else found(pair)
+            return found(_one_sided_pair(automaton, False, None, cap))
+        return found(_flower_pair(automaton, class_tag != "all", None, cap))
 
     return _sweep(
         "C", class_tag, n, d, mode, samples, seed, instance_cap,
-        evaluate, lambda language: found(shortest_sync_pair(language, budget, cap)),
+        evaluate, lambda language: found(shortest_sync_pair(language, None, cap)),
     )
 
 

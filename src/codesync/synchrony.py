@@ -162,7 +162,13 @@ def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP
     the caller's concern (the constant/pair dualities need c ∈ X*).
     """
     automaton, fwd, bwd = _context_families(language, cap)
-    images = {s: automaton.step_word(s, c) for s in fwd}
+    if c.alphabet != automaton.alphabet:
+        raise ParseError("word alphabet differs from automaton alphabet")
+    # many S ∈ F share an image, so each distinct image is stepped once per letter
+    images = {s: s for s in fwd}
+    for a in c.indices:
+        step = {t: automaton.step_letter(t, a) for t in set(images.values())}
+        images = {s: step[t] for s, t in images.items()}
     rows = [s for s in fwd if any(images[s] & t for t in bwd)]
     cols = [t for t in bwd if any(images[s] & t for s in fwd)]
     return all(images[s] & t for s in rows for t in cols)
@@ -259,10 +265,12 @@ def _star_reps(automaton: Automaton, side: tuple, cap: int, back: bool) -> Itera
 
 
 def shortest_sync_pair(
-    language: FiniteLanguage, budget: int = 12, cap: int = DEFAULT_SUBSET_CAP
+    language: FiniteLanguage, budget: Optional[int] = 12, cap: int = DEFAULT_SUBSET_CAP
 ) -> Optional[SyncPair]:
     """The least synchronizing pair (u, v) ∈ X* × X* under (|uv|, |u|, lex u,
-    lex v) with |uv| ≤ ``budget``, or None (X may synchronize with longer)."""
+    lex v) with |uv| ≤ ``budget``, or None (X may synchronize with longer).
+    With ``budget`` None the least pair of all, or None exactly when X does
+    not synchronize: the search ends on its own (see :func:`_pair_search`)."""
     return _least_pair(language, budget, cap)
 
 

@@ -244,13 +244,14 @@ def class_masks_reference(n: int, d: int) -> dict[tuple[str, bool], list[int]]:
     return out
 
 
-def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tuple[dict, dict]:
+def estimate_reference(class_tag: str, n: int, d: int) -> tuple[dict, dict]:
     """Reference exhaustive R and C reports, as ``ExperimentReport.to_dict()``
     without ``elapsed_seconds``: the language-level searches on every member
     of :func:`enumerate_class_languages_reference`, in its order.  A code that
-    :func:`synchronizes_reference` rejects is no C instance; a non-code with
-    no pair within the budget counts as inconclusive, so a non-code that the
-    sweep wrongly excludes shows as a mismatch."""
+    :func:`synchronizes_reference` rejects is no C instance, and neither is a
+    non-code for which the pair search, run with no budget, finds no pair.  A
+    code the reference accepts but the search finds no pair for counts as
+    inconclusive, which the sweep never reports, so it shows as a mismatch."""
     from codesync import is_code, shortest_incompletable, shortest_sync_pair
 
     best = {"R": None, "C": None}  # (value, witness language, witness)
@@ -262,11 +263,11 @@ def estimate_reference(class_tag: str, n: int, d: int, budget: int = 12) -> tupl
         if incompletable is not None:
             found["R"] = (len(incompletable), [incompletable.text])
         if not is_code(x) or synchronizes_reference(x):
-            pair = shortest_sync_pair(x, budget)
-            if pair is None:
-                inconclusive += 1
-            else:
+            pair = shortest_sync_pair(x, None)
+            if pair is not None:
                 found["C"] = (pair.total_length, [pair.u.text, pair.v.text])
+            elif is_code(x):
+                inconclusive += 1
         for kind, (value, witness) in found.items():
             counts[kind] += 1
             if best[kind] is None or value > best[kind][0]:

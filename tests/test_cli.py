@@ -190,6 +190,19 @@ def test_incompletable_max_len_below_the_witness(capsys, example_file):
     assert data["witness"] == "abbabba" and data["length"] == 7
 
 
+def test_incompletable_oracle_disagreement_is_an_internal_error(capsys, example_file, monkeypatch):
+    from codesync import cli
+
+    monkeypatch.setattr(cli, "brute_force_incompletable", lambda language, max_len: None)
+    assert main(["incompletable", example_file, "--max-len", "7", "--json"]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 2 and lines[0].startswith("internal error:")
+    assert json.loads(lines[1]) == {
+        "words": ["aa", "ab", "ba", "baa", "bbb"], "search": "abbabba", "brute_force": None, "max_len": 7,
+    }
+
+
 def test_incompletable_complete_language(capsys, tmp_path):
     p = tmp_path / "full.lang"
     p.write_text("a\nb\n")
@@ -322,6 +335,17 @@ def test_encode_general_complete_sync(capsys, tmp_path):
     assert data["ledger"]["ok"] is True
 
 
+@pytest.mark.parametrize("mode", ["general", "uniform"])
+def test_encode_a_complete_set_that_does_not_synchronize(capsys, tmp_path, mode):
+    # A² on three letters: the pair search ends with no pair, a false
+    # property in the shape reduce reports it, not a resource cap
+    p = tmp_path / "square.lang"
+    p.write_text("alphabet: a b c\n" + "".join(a + b + "\n" for a in "abc" for b in "abc"))
+    code, data = run_json(capsys, ["encode", str(p), "--mode", mode, "--json"])
+    assert code == 1
+    assert data["synchronizing"] is False and set(data) == {"synchronizing", "reason"}
+
+
 def test_cerny_verify(capsys):
     code, data = run_json(capsys, ["cerny", "4", "--verify", "--json"])
     assert code == 0
@@ -432,7 +456,7 @@ def test_random_complete_sweep_on_one_letter(capsys):
 @pytest.mark.parametrize("argv", [
     ["experiment", "R", "--class", "all", "--n", "-1", "--d", "2"],
     ["experiment", "R", "--class", "all", "--n", "0", "--d", "2"],
-    ["experiment", "C", "--class", "complete-codes", "--n", "2", "--d", "2", "--budget", "-1"],
+    ["experiment", "C", "--class", "complete-codes", "--n", "0", "--d", "2"],
     ["experiment", "R", "--class", "codes", "--n", "2", "--d", "2", "--mode", "random", "--samples", "0"],
 ])
 def test_experiment_rejects_meaningless_sizes(capsys, argv):

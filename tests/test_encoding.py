@@ -15,7 +15,6 @@ from codesync import (
     NotComplete,
     NotSynchronizing,
     ParseError,
-    SearchBudgetExceeded,
     SyncPair,
     Word,
     apply_encoding,
@@ -347,17 +346,25 @@ def test_uniform_encoding_ledger_is_exact_on_batch():
         letters = {i for u in x.words for i in u.indices}
         if len(letters) < 2:
             continue
-        if shortest_sync_pair(x, 4) is None:
-            continue
-        try:
-            pair, trace = uniform_sync_encoding(x, budget=4)
-        except SearchBudgetExceeded:
-            continue  # no adjacency-compatible pair within budget
+        if shortest_sync_pair(x, None) is None:
+            continue  # X does not synchronize
+        pair, trace = uniform_sync_encoding(x)
         if pair is None:
             continue
         assert trace.ledger["exact_scaling"], x.word_strings()
         encoded += 1
     assert encoded > 5
+
+
+def test_a_complete_set_that_does_not_synchronize_raises_not_synchronizing():
+    # A² on three letters is a complete code with no pair; both pair searches
+    # run with no budget and end by exhaustion
+    abc = Alphabet.of("a", "b", "c")
+    x = FiniteLanguage.from_strings([a + b for a in "abc" for b in "abc"], abc)
+    with pytest.raises(NotSynchronizing):
+        reduce_sync_to_binary(x)
+    with pytest.raises(NotSynchronizing):
+        uniform_sync_encoding(x)
 
 
 def test_uniform_encoding_image_avoids_all_a_word():

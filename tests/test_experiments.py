@@ -136,7 +136,7 @@ def test_instance_cap_compares_the_exponent_exactly():
 
 
 def test_estimate_C_complete_codes_size_one():
-    report = estimate_C("complete-codes", 1, 2, budget=4)
+    report = estimate_C("complete-codes", 1, 2)
     assert report.value == 0
     assert report.witness_language == ("a", "b")
     assert report.witness == ("ε", "ε")
@@ -144,7 +144,7 @@ def test_estimate_C_complete_codes_size_one():
 
 
 def test_estimate_C_complete_prefix_three():
-    report = estimate_C("complete-prefix", 3, 2, budget=8)
+    report = estimate_C("complete-prefix", 3, 2)
     assert report.value == 7  # exhaustively computed golden value
     assert report.value >= 4  # the X_3 lower bound (n-1)^2
     assert report.inconclusive_count == 0
@@ -364,7 +364,7 @@ def test_C_all_sweep_builds_no_language_per_member(monkeypatch):
 def test_C_all_sweep_excludes_non_synchronizing_members_exactly():
     # of the 751 canonical members at (2, 3), {aa}, A² on two letters and A²
     # on three are codes with no pair; every other member has one of length
-    # at most 4, so none is inconclusive
+    # at most 4
     report = estimate_C("all", 2, 3)
     assert (report.value, report.witness_language, report.witness) == (4, ("ab", "ba"), ("ε", "abba"))
     assert (report.instance_count, report.inconclusive_count) == (748, 0)
@@ -455,7 +455,7 @@ def test_a_small_subset_cap_still_fails_loudly():
     lambda: estimate_R("all", 0, 2),
     lambda: estimate_R("all", -1, 2),
     lambda: estimate_C("codes", 0, 2),
-    lambda: estimate_C("complete-codes", 2, 2, budget=-1),
+    lambda: estimate_C("complete-codes", -1, 2),
     lambda: estimate_R("codes", 2, 2, mode="random", samples=0),
     lambda: estimate_C("codes", 2, 2, mode="random", samples=-3),
 ])
@@ -476,22 +476,15 @@ SWEEP_REPORTS = {
 }
 
 
-# complete-prefix C sweeps with budgets below some pair lengths: (value,
-# witness language, witness, instances, inconclusive), as the two-sided
-# representative search gave them before the one-sided search replaced it
-SHORT_BUDGET_REPORTS = {
-    ("exhaustive", 3): (3, ["aa", "ab", "bb", "baa", "bab"], ["baa", "ε"], 7, 6),
-    ("exhaustive", 5): (4, ["aa", "bb", "aba", "abb", "baa", "bab"], ["aabb", "ε"], 12, 1),
-    ("random", 4): (4, ["aa", "ab", "ba", "bba", "bbba", "bbbb"], ["abba", "ε"], 29, 6),
-}
-
-
-@pytest.mark.parametrize("mode,budget", list(SHORT_BUDGET_REPORTS))
-def test_complete_prefix_sweep_counts_long_pairs_as_inconclusive(mode, budget):
-    n = 3 if mode == "exhaustive" else 4
-    report = estimate_C("complete-prefix", n, 2, mode=mode, samples=40, seed=3, budget=budget).to_dict()
+def test_random_complete_prefix_sweep_is_pinned():
+    # (value, witness language, witness, instances, inconclusive) of a seeded
+    # sample at (4, 2): every sampled code synchronizes and counts, and none
+    # is inconclusive, since the pair search has no budget
+    report = estimate_C("complete-prefix", 4, 2, mode="random", samples=40, seed=3).to_dict()
     got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
-    assert got == SHORT_BUDGET_REPORTS[mode, budget]
+    assert got == (
+        9, ["aaa", "aab", "aba", "abb", "baa", "bab", "bba", "bbba", "bbbb"], ["abbbabbba", "ε"], 35, 0,
+    )
 
 
 @pytest.mark.parametrize("kind,tag", list(SWEEP_REPORTS))
@@ -505,9 +498,8 @@ def test_exhaustive_sweeps_at_three_are_pinned(kind, tag):
 
 @pytest.mark.slow
 def test_C_all_at_three_is_fourteen():
-    # the (3, 2) ``all`` maximum lies beyond the default budget of 12; at
-    # budget 14 it is exact, with no member inconclusive (about 2 s)
-    report = estimate_C("all", 3, 2, budget=14).to_dict()
+    # the exact (3, 2) ``all`` maximum, with no member inconclusive (about 2 s)
+    report = estimate_C("all", 3, 2).to_dict()
     got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
     assert got == (
         14, ["aa", "aab", "aba", "abb", "baa", "bab", "bba", "bbb"], ["aaabbaa", "aababaa"], 8251, 0,
@@ -560,8 +552,8 @@ def test_a_complete_class_draw_outside_its_class_raises(monkeypatch, tag):
 
 
 def test_estimate_C_random_mode_complete_prefix():
-    a = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6, budget=8)
-    b = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6, budget=8)
+    a = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6)
+    b = estimate_C("complete-prefix", 3, 2, mode="random", samples=25, seed=6)
     assert a.value == b.value and a.witness == b.witness
     assert a.value is not None and a.value <= 7  # the exhaustive maximum
 

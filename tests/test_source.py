@@ -105,3 +105,32 @@ def test_the_test_extra_declares_every_third_party_test_import():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert "hypothesis" in third_party and "pytest" in third_party
     assert third_party <= declared, f"missing from the test extra: {sorted(third_party - declared)}"
+
+
+def test_only_bounded_queries_take_a_pair_budget():
+    """A pair budget bounds a query its caller asks; a search that must
+    produce an answer (a sweep, an encoding, ``experiment``) runs without one."""
+    import argparse
+
+    from codesync.cli import build_parser
+
+    takers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)
+                if "budget" in {a.arg for a in params}:
+                    takers.add(f"{path.stem}.{func.name}")
+    assert takers == {
+        "synchrony.shortest_sync_pair",
+        "synchrony._least_pair",
+        "synchrony._flower_pair",
+        "synchrony._pair_search",
+        "synchrony._one_sided_pair",
+        "reduction.synchronizing_pair_via_reduction",
+        "experiments.verify_main_bound",
+    }
+    verbs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {
+        name for name, p in verbs.choices.items() if any("--budget" in a.option_strings for a in p._actions)
+    } == {"analyze", "syncpair", "reduce"}

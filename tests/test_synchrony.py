@@ -477,6 +477,17 @@ def test_general_checker_steps_each_distinct_image_once(monkeypatch, n, most):
     assert counts["step_letter"] <= most
 
 
+@pytest.mark.parametrize("n, most", [(8, 1_000), (10, 3_000)])
+def test_constant_test_steps_each_distinct_image_once(monkeypatch, n, most):
+    # stepping each S ∈ F through c on its own took 9,359 steps on X_8 and
+    # 62,127 on X_10; the distinct images take 584 and 1,956
+    x, pair = cerny_family(n), cerny_canonical_pair(n)
+    synchrony._context_families(x, DEFAULT_SUBSET_CAP)
+    counts = count_steps(monkeypatch)
+    assert is_constant(x, pair.u)
+    assert counts["step_letter"] <= most
+
+
 @st.composite
 def _small_sets_and_budgets(draw):
     """An ε-free set of 1–4 words of length ≤ 3 over 1–3 letters, code or
