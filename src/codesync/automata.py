@@ -153,13 +153,20 @@ def reverse(automaton: Automaton) -> Automaton:
     return replace(automaton, table=tuple(zip(*automaton._rev_rows)))
 
 
+def _flower_states(language: FiniteLanguage) -> list[tuple[int, ...]]:
+    """The flower's states in index order: () for state 1, then the proper
+    nonempty prefixes of X in (length, lex) order."""
+    prefixes = {w.indices[:k] for w in language.words for k in range(1, len(w))}
+    return [()] + sorted(prefixes, key=lambda p: (len(p), p))
+
+
 def flower_automaton(language: FiniteLanguage) -> Automaton:
     """The literal (flower) automaton of X*.
 
-    States are state 1 plus the proper nonempty prefixes of words of X; all
-    first-return words at state 1 are exactly X, every state is accessible and
-    co-accessible, and every cycle passes through state 1.  The result is
-    memoized on the (immutable) language.
+    States are state 1 plus the proper nonempty prefixes of X in (length, lex)
+    order (:func:`_flower_states`); the first-return words at state 1 are X,
+    every state is accessible and co-accessible, and every cycle passes
+    through state 1.  The result is memoized on the (immutable) language.
     """
     cached = language._memo.get("flower")
     if cached is not None:
@@ -168,11 +175,7 @@ def flower_automaton(language: FiniteLanguage) -> Automaton:
         raise ParseError("cannot build the flower automaton of an empty language")
     if language.contains_epsilon:
         raise EpsilonNotAllowed("flower automaton requires ε ∉ X")
-    prefixes = set()
-    for w in language.words:
-        for k in range(1, len(w)):
-            prefixes.add(w.indices[:k])
-    ordered = [()] + sorted(prefixes, key=lambda p: (len(p), p))
+    ordered = _flower_states(language)
     index = {p: i for i, p in enumerate(ordered)}
     word_set = {w.indices for w in language.words}
     d = len(language.alphabet)

@@ -12,6 +12,7 @@ from typing import Optional
 
 from .automata import (
     Automaton,
+    _flower_states,
     flower_automaton,
     layered_search,
     states_from_mask,
@@ -82,44 +83,33 @@ def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
     return complete
 
 
-def _state_words(automaton: Automaton, back: bool) -> list[Optional[Word]]:
-    """Shortest, then lex-least, label of a path from state 1 to each state, or
-    from each state to state 1 when ``back`` (grown by prepending letters)."""
-    rows = automaton._rev_rows if back else automaton._letter_rows
-    letters = range(len(automaton.alphabet))
-
-    def expand(q, word):
-        for a in letters:
-            for t in states_from_mask(rows[a][q]):
-                yield t, ((a,) + word if back else word + (a,))
-
-    out: list[Optional[Word]] = [None] * automaton.n_states
-    levels = layered_search(
-        automaton.initial, (), expand, cap=automaton.n_states, what="state-word search"
-    )
-    for level in levels:
-        for q, word in level.items():
-            out[q] = Word(automaton.alphabet, word)
-    return out
+def _return_word(language: FiniteLanguage, states: list, image: int) -> Word:
+    """The least word leading a state of ``image`` back to state 1: ε if the
+    image holds state 1, else the least t ≠ ε with q·t ∈ X, q a state's prefix."""
+    heads = {states[q] for q in states_from_mask(image)}
+    tails = (x[k:] for x in (w.indices for w in language.words) for k in range(1, len(x)) if x[:k] in heads)
+    return Word(language.alphabet, () if image & 1 else min(tails, key=lambda t: (len(t), t)))
 
 
 def find_completion(language: FiniteLanguage, w: Word) -> Optional[CompletionWitness]:
     """A completion witness (r, s) with r·w·s ∈ X*, or None if w is incompletable.
 
-    The witness is found as a path search in the flower automaton; because
-    flower states are proper prefixes of codewords, the shortest connecting
-    labels satisfy |r|, |s| ≤ ℓ(X) − 1, which is always checked.  When
+    No search runs: r is the prefix of the first flower state p, in index
+    order, with δ(p, w) ≠ ∅, and s the least word from δ(p, w) back to state 1.
+    Both are least in (length, lex) order.  Every path from 1 to p ends by
+    reading p from state 1, so p is its only path of length |p|, and index
+    order is access-word order; a path from p first returns to 1 when it
+    completes a word of X, so the least path back is a first return.  Hence
+    |r|, |s| ≤ ℓ(X) − 1; that bound and r·w·s ∈ X* are always checked.  When
     w ∈ X* the trivial witness (ε, ε) is returned.
     """
     automaton = flower_automaton(language)
-    access = _state_words(automaton, back=False)
-    coaccess = _state_words(automaton, back=True)
-    for p in sorted(range(automaton.n_states), key=lambda q: access[q].sort_key()):
+    states = _flower_states(language)
+    for p, prefix in enumerate(states):
         image = automaton.step_word(1 << p, w)
         if not image:
             continue
-        r = access[p]
-        s = min((coaccess[q] for q in states_from_mask(image)), key=Word.sort_key)
+        r, s = Word(language.alphabet, prefix), _return_word(language, states, image)
         details = {"r": r.text, "w": w.text, "s": s.text}
         if not kleene_membership(language, r + w + s):
             raise InternalInvariantError("completion r·w·s is not in X*", details)
@@ -138,13 +128,14 @@ def left_star_completion(
 
     Searches the subsets δ(1, y) level by level, y ranging over codeword
     concatenations keyed by their codeword-index sequence; the hit is the least
-    key in the first level with δ(S, w) ≠ ∅, closed with the shortest suffix
-    back to state 1.  For complete X this always succeeds; a None result
-    signals that no left-star completion exists (in particular that X is
-    incomplete).  The cap on distinct subsets is checked once per level.
+    key in the first level with δ(S, w) ≠ ∅, closed with the least word from
+    δ(S, w) back to state 1, read as in :func:`find_completion`.  For complete
+    X this always succeeds; a None result signals that no left-star completion
+    exists (in particular that X is incomplete).  The cap on distinct subsets
+    is checked once per level.
     """
     automaton = flower_automaton(language)
-    coaccess = _state_words(automaton, back=True)
+    states = _flower_states(language)
     codewords = language.words
 
     def expand(mask, key):
@@ -162,7 +153,7 @@ def left_star_completion(
             if not image:
                 continue
             y = Word(language.alphabet, tuple(a for i in key for a in codewords[i].indices))
-            s = min((coaccess[q] for q in states_from_mask(image)), key=Word.sort_key)
+            s = _return_word(language, states, image)
             if not (kleene_membership(language, y) and kleene_membership(language, y + w + s)):
                 details = {"y": y.text, "w": w.text, "s": s.text}
                 raise InternalInvariantError("left-star completion y·w·s is not in X*", details)

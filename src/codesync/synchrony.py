@@ -102,21 +102,24 @@ def _general_pair_check(
         union_all |= t_mask
         if not d1v & t_mask:
             union_bad |= t_mask
-    # δ(S, w) depends on S only through its mask, so the distinct images are
-    # stepped once each (∅ meets nothing and is dropped), not each S ∈ F on
-    # its own.  The S side is not collapsed into the unions P(u) and R(u):
-    # _pair_search keys on those, and this checker stays apart from it.
-    step = automaton.step_letter
-    images = set(fwd)
-    for a in u.indices:
-        images = {t for s in images if (t := step(s, a))}
+    # The S side is not collapsed into the unions P(u) and R(u): _pair_search
+    # keys on those, and this checker stays apart from it.
+    images = _distinct_images(automaton, fwd, u)
     hold = {s for s in images if s & init}
     for group, blocked in ((hold, union_bad), (images - hold, union_all)):
-        for a in v.indices:
-            group = {t for s in group if (t := step(s, a))}
-        if any(s & blocked for s in group):
+        if any(s & blocked for s in _distinct_images(automaton, group, v)):
             return False
     return True
+
+
+def _distinct_images(automaton: Automaton, family, w: Word) -> set[int]:
+    """The distinct nonempty δ(S, w) for S in ``family``.  δ(S, w) depends on
+    S only through its mask and many S share one, so each distinct image is
+    stepped once per letter, and ∅, which meets nothing, is dropped."""
+    step, images = automaton.step_letter, set(family)
+    for a in w.indices:
+        images = {t for s in images if (t := step(s, a))}
+    return images
 
 
 def is_sync_pair(
@@ -158,20 +161,18 @@ def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP
     """Context-exchange test: u₁cu₂, u₃cu₄ ∈ X* forces u₁cu₄, u₃cu₂ ∈ X*.
 
     Over the reachable context families, f(S, T) = [δ(S, c) ∩ T ≠ ∅] must be
-    a combinatorial rectangle.  The word c need not lie in X*; membership is
-    the caller's concern (the constant/pair dualities need c ∈ X*).
+    a combinatorial rectangle; it is decided on the distinct nonempty images,
+    as f reads S only through δ(S, c) and ∅ meets no T.  The word c need not
+    lie in X*; membership is the caller's concern (the constant/pair
+    dualities need c ∈ X*).
     """
     automaton, fwd, bwd = _context_families(language, cap)
     if c.alphabet != automaton.alphabet:
         raise ParseError("word alphabet differs from automaton alphabet")
-    # many S ∈ F share an image, so each distinct image is stepped once per letter
-    images = {s: s for s in fwd}
-    for a in c.indices:
-        step = {t: automaton.step_letter(t, a) for t in set(images.values())}
-        images = {s: step[t] for s, t in images.items()}
-    rows = [s for s in fwd if any(images[s] & t for t in bwd)]
-    cols = [t for t in bwd if any(images[s] & t for s in fwd)]
-    return all(images[s] & t for s in rows for t in cols)
+    images = _distinct_images(automaton, fwd, c)
+    rows = [s for s in images if any(s & t for t in bwd)]
+    cols = [t for t in bwd if any(s & t for s in images)]
+    return all(s & t for s in rows for t in cols)
 
 
 def _require_complete_dfa(automaton: Automaton, what: str) -> None:

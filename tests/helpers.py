@@ -112,6 +112,13 @@ def brute_is_code(language: FiniteLanguage, max_len: int) -> bool:
 def has_completion_brute(language: FiniteLanguage, word: Word) -> bool:
     """Definitional completability: some context pair (r, s) with
     |r|, |s| ≤ ℓ(X) − 1 puts r·w·s into X* (membership by the DP oracle)."""
+    return least_completion_brute(language, word) is not None
+
+
+def least_completion_brute(language: FiniteLanguage, word: Word):
+    """Definitional least completion: the least r, then the least s, over
+    A^{≤ℓ(X)−1} in (length, lex) order with r·w·s ∈ X* (membership by the DP
+    oracle), or None when there is none."""
     bound = max(language.size - 1, 0)
     d = len(language.alphabet)
     contexts = [()]
@@ -121,10 +128,9 @@ def has_completion_brute(language: FiniteLanguage, word: Word) -> bool:
         contexts.extend(level)
     for r in contexts:
         for s in contexts:
-            rws = Word(language.alphabet, r + word.indices + s)
-            if kleene_membership(language, rws):
-                return True
-    return False
+            if kleene_membership(language, Word(language.alphabet, r + word.indices + s)):
+                return Word(language.alphabet, r), Word(language.alphabet, s)
+    return None
 
 
 def random_language_sample(seed: int, count: int, n: int, d: int = 2):

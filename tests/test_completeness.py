@@ -20,7 +20,9 @@ from codesync import (
     left_star_completion,
     shortest_incompletable,
 )
-from codesync.completeness import _incompletable_word, _state_words
+from codesync import completeness
+from codesync.automata import _flower_states
+from codesync.completeness import _incompletable_word, _return_word
 from codesync.errors import DEFAULT_SUBSET_CAP
 
 from helpers import (
@@ -32,6 +34,7 @@ from helpers import (
     exhaustive_corpus,
     has_completion_brute,
     lang,
+    least_completion_brute,
     left_star_completion_reference,
     random_language_sample,
     small_class_languages,
@@ -140,8 +143,9 @@ def test_state_words_and_witnesses_match_the_references():
     for x in corpus:
         a = flower_automaton(x)
         access, coaccess = access_words_reference(a), coaccess_words_reference(a)
-        assert _state_words(a, back=False) == access, x.word_strings()
-        assert _state_words(a, back=True) == coaccess, x.word_strings()
+        states = _flower_states(x)
+        assert [Word(x.alphabet, p) for p in states] == access, x.word_strings()
+        assert [_return_word(x, states, 1 << q) for q in range(a.n_states)] == coaccess, x.word_strings()
         by_access = sorted(range(a.n_states), key=lambda q: access[q].sort_key())
         for k in range(5):
             for tup in itertools.product(range(len(x.alphabet)), repeat=k):
@@ -195,6 +199,38 @@ def test_incompletable_search_matches_brute_force(case):
     word = shortest_incompletable(x)
     within = word if word is not None and len(word) <= max_len else None
     assert within == brute_force_incompletable(x, max_len), x.word_strings()
+
+
+@st.composite
+def _small_sets_and_words(draw):
+    """A set as :func:`_small_sets_and_cuts` draws it and a word of length
+    ≤ 4 over its alphabet."""
+    x, _ = draw(_small_sets_and_cuts())
+    letters = st.integers(0, len(x.alphabet) - 1)
+    return x, Word(x.alphabet, tuple(draw(st.lists(letters, max_size=4))))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_small_sets_and_words())
+def test_completion_is_the_least_by_definition(case):
+    # the least r, then the least s, over all contexts of length ≤ ℓ(X) − 1,
+    # membership decided by the DP oracle alone
+    x, word = case
+    witness = find_completion(x, word)
+    got = None if witness is None else (witness.r, witness.s)
+    assert got == least_completion_brute(x, word), (x.word_strings(), word.text)
+
+
+def test_completion_runs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a completion ran a subset search")
+
+    monkeypatch.setattr(completeness, "layered_search", no_search)
+    monkeypatch.setattr(completeness, "subset_bfs", no_search)
+    x = lang(EXAMPLE_SET)
+    assert find_completion(x, w("abbabba")) is None
+    witness = find_completion(x, w("bbabb"))
+    assert witness is not None and kleene_membership(x, witness.r + w("bbabb") + witness.s)
 
 
 def test_incompletability_is_factor_closed():
