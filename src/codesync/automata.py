@@ -393,17 +393,25 @@ def first_return_size(automaton: Automaton) -> int:
 def determinize_minimize(automaton: Automaton) -> Automaton:
     """Accessible subset construction followed by partition refinement.
 
-    The result is a minimal (complete or partial) deterministic automaton for
-    the same language, accepting at subsets that contain state 1.
+    The result is the minimal (complete or partial) deterministic automaton
+    for the same language, accepting at subsets that meet the accepting
+    states.  Only the subsets that meet ``live``, the states from which an
+    accepting state can be reached, are kept, and a step into any other subset
+    is undefined; the empty language gives one state with no transitions.
     """
     d = len(automaton.alphabet)
+    live = 0
+    for q in automaton.accepting:
+        live |= _reach(automaton, q, back=True)
     order, _ = subset_bfs(automaton, 1 << automaton.initial, what="subset construction")
+    order = [s for s in order if s & live]  # the start subset first, unless it is dead
     index = {s: i for i, s in enumerate(order)}
     trans = [[index.get(automaton.step_letter(s, a)) for a in range(d)] for s in order]
     accept_bit = mask_from_states(automaton.accepting)
     accepting = [bool(s & accept_bit) for s in order]
 
-    # Moore refinement over the partial DFA; None acts as a private sink class
+    # Moore refinement over the partial DFA; None acts as a private sink class.
+    # Classes are numbered by first appearance, so the start subset's is 0.
     n = len(order)
     cls = [1 if accepting[q] else 0 for q in range(n)]
     while True:
@@ -420,25 +428,18 @@ def determinize_minimize(automaton: Automaton) -> Automaton:
             break
         cls = new_cls
 
-    n_min = max(cls) + 1
-    # relabel so that the class of the start subset is state 0
-    relabel = {cls[0]: 0}
-    for c in cls:
-        if c not in relabel:
-            relabel[c] = len(relabel)
+    n_min = max(cls, default=0) + 1
     table = [[0] * d for _ in range(n_min)]
     for q in range(n):
-        cq = relabel[cls[q]]
         for a in range(d):
             if trans[q][a] is not None:
-                table[cq][a] = 1 << relabel[cls[trans[q][a]]]
-    accepting_classes = frozenset(relabel[cls[q]] for q in range(n) if accepting[q])
+                table[cls[q]][a] = 1 << cls[trans[q][a]]
     return Automaton(
         n_states=n_min,
         alphabet=automaton.alphabet,
         table=tuple(tuple(row) for row in table),
         initial=0,
-        accepting=accepting_classes,
+        accepting=frozenset(cls[q] for q in range(n) if accepting[q]),
     )
 
 

@@ -25,6 +25,7 @@ from .automata import (
 )
 from .completeness import is_complete_language, shortest_incompletable
 from .errors import (
+    EpsilonNotAllowed,
     InternalInvariantError,
     NotComplete,
     NotSynchronizing,
@@ -34,7 +35,7 @@ from .errors import (
     DEFAULT_SUBSET_CAP,
 )
 from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix
-from .synchrony import SyncPair, _least_pair, is_sync_pair, is_synchronizing_dfa, shortest_sync_pair
+from .synchrony import SyncPair, _pair_search, is_sync_pair, is_synchronizing_dfa, shortest_sync_pair
 
 
 @dataclass(frozen=True)
@@ -478,7 +479,9 @@ def uniform_sync_encoding(
         )
         return None, trace
 
-    pair = _least_pair(language, None, cap, letter_change=True)
+    if language.contains_epsilon:
+        raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
+    pair = _pair_search(flower_automaton(language), is_code(language), None, cap, letter_change=True)
     if pair is None:
         raise NotSynchronizing("X does not synchronize: it has no pair")
     uv = (pair.u + pair.v).indices

@@ -32,8 +32,8 @@ from .encoding import LengthProfile, _first_sync_code, _random_colorings, kraft_
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
 from .synchrony import (
-    _flower_pair,
     _one_sided_pair,
+    _pair_search,
     is_synchronizing_code,
     shortest_sync_pair,
 )
@@ -603,7 +603,7 @@ def estimate_C(
     with the language-level :func:`~codesync.synchrony.shortest_sync_pair`.
     A complete prefix code takes the reset-to-root search
     (:func:`~codesync.synchrony._one_sided_pair`), a member of another code
-    class the code search of :func:`~codesync.synchrony._flower_pair`, and an
+    class the code search of :func:`~codesync.synchrony._pair_search`, and an
     ``all`` member, which need not be a code, its context search, exact on
     any ε-free X.
     """
@@ -614,7 +614,7 @@ def estimate_C(
     def evaluate(automaton):
         if class_tag == "complete-prefix":
             return found(_one_sided_pair(automaton, False, None, cap))
-        return found(_flower_pair(automaton, class_tag != "all", None, cap))
+        return found(_pair_search(automaton, class_tag != "all", None, cap))
 
     return _sweep(
         "C", class_tag, n, d, mode, samples, seed, instance_cap,

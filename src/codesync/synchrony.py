@@ -13,8 +13,9 @@ stays an independent check of that search.
 One least-pair search serves every ε-free X (:func:`_pair_search`): it pairs
 X*-representatives, the least words of X* with a given key (what the pair
 test reads of a word), and ends without a budget, on a flower automaton or a
-sweep's pool view alike (:func:`_flower_pair`).  Complete prefix and suffix
-codes take one reset-to-root search (:func:`_one_sided_pair`).
+sweep's pool view alike.  Complete prefix and suffix codes take one
+reset-to-root search (:func:`_one_sided_pair`); :func:`shortest_sync_pair`
+dispatches between the two.
 """
 
 from __future__ import annotations
@@ -150,11 +151,10 @@ def is_sync_pair(
 
 def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
     """Exact synchronization test for codes: X synchronizes iff it has a
-    pair, so the least-pair search of :func:`_least_pair`, run without a
-    budget, decides it."""
+    pair, so :func:`shortest_sync_pair`, run without a budget, decides it."""
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    return _least_pair(language, None, cap) is not None
+    return shortest_sync_pair(language, None, cap) is not None
 
 
 def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -271,39 +271,16 @@ def shortest_sync_pair(
     """The least synchronizing pair (u, v) ∈ X* × X* under (|uv|, |u|, lex u,
     lex v) with |uv| ≤ ``budget``, or None (X may synchronize with longer).
     With ``budget`` None the least pair of all, or None exactly when X does
-    not synchronize: the search ends on its own (see :func:`_pair_search`)."""
-    return _least_pair(language, budget, cap)
-
-
-def _least_pair(
-    language: FiniteLanguage, budget: Optional[int], cap: int, letter_change: bool = False
-) -> Optional[SyncPair]:
-    """The least pair of an ε-free X with |uv| ≤ ``budget`` (of all, with no
-    budget), None if there is none; with ``letter_change`` the least whose uv
-    has two distinct adjacent letters.  A complete prefix or suffix code takes
-    :func:`_one_sided_pair` (unless a letter change is asked for), any other X
-    :func:`_flower_pair`."""
+    not synchronize: the search ends on its own (see :func:`_pair_search`).
+    A complete prefix or suffix code takes :func:`_one_sided_pair`, any other
+    ε-free X :func:`_pair_search` on its flower automaton."""
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
     code = is_code(language)
-    one_sided = _one_sided_flower(language) if code and not letter_change else None
+    one_sided = _one_sided_flower(language) if code else None
     if one_sided is None:
-        return _flower_pair(flower_automaton(language), code, budget, cap, letter_change)
+        return _pair_search(flower_automaton(language), code, budget, cap)
     return _one_sided_pair(*one_sided, budget, cap)
-
-
-def _flower_pair(
-    automaton: Automaton, code: bool, budget: Optional[int], cap: int, letter_change: bool = False
-) -> Optional[SyncPair]:
-    """:func:`_pair_search` on the flower automaton of X, or on any object with
-    its kernel interface: keyed by δ(Q, u) and Qv⁻¹ for a ``code``, else on the
-    context automata of the families :func:`_context_closure` closes on it."""
-    if code:
-        sides = [(automaton, automaton.full_mask, None)] * 2
-    else:
-        families = _context_closure(automaton, cap)
-        sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
-    return _pair_search(automaton, sides, "code" if code else "general", budget, cap, letter_change)
 
 
 def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) -> tuple:
@@ -330,13 +307,16 @@ def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) ->
 
 
 def _pair_search(
-    automaton: Automaton, sides: list, checked_by: str, budget: Optional[int], cap: int,
-    letter_change: bool,
+    automaton: Automaton, code: bool, budget: Optional[int], cap: int, letter_change: bool = False
 ) -> Optional[SyncPair]:
-    """The one pairing loop: :func:`_star_reps` of u and of v, each side on
-    its ``(family, rest, key)``, paired by total length, then (|u|, lex u,
-    lex v); (u, v) is taken iff key(u) ∩ key(v) = {1}, the pair test.  On a
-    code's flower that is Qu ∩ Qv⁻¹ = {1}.  On any ε-free X, δ(S, uv) meets T
+    """The one least-pair search, on the flower automaton of X, or on any
+    object with its kernel interface: :func:`_star_reps` of u and of v, each
+    side on its ``(family, rest, key)``, paired by total length, then (|u|,
+    lex u, lex v); (u, v) is taken iff key(u) ∩ key(v) = {1}, the pair test.
+    For a ``code`` both sides are the automaton itself, keyed by δ(Q, u) and
+    Qv⁻¹, and the test is Qu ∩ Qv⁻¹ = {1}.  Any other X is searched on the
+    context automata of the families :func:`_context_closure` closes on the
+    automaton (:func:`_context_side`).  On any ε-free X, δ(S, uv) meets T
     iff δ(S, u) meets Tv⁻¹, so (u, v) synchronizes iff P(u) ∩ A(v) = ∅ and
     R(u) ∩ N(v) = ∅: P(u) and R(u) are the unions of the δ(S, u), S ∈ F, that
     miss and that hold state 1, A(v) ∋ 1 that of the Tv⁻¹, T ∈ B, and N(v)
@@ -351,6 +331,12 @@ def _pair_search(
     once both searches have ended after E_u and E_v levels, no pair is
     longer than E_u + E_v − 2.
     """
+    if code:
+        sides = [(automaton, automaton.full_mask, None)] * 2
+    else:
+        families = _context_closure(automaton, cap)
+        sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
+    checked_by = "code" if code else "general"
     init, d = 1 << automaton.initial, len(automaton.alphabet)
     if letter_change:  # the letter-change automaton goes on states n, …, n + d of each family
         for back, (family, rest, key) in enumerate(sides):

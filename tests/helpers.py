@@ -490,6 +490,35 @@ def strongly_connected_reference(table) -> bool:
     return all(all(row) for row in reach)
 
 
+def minimal_dfa_size_reference(automaton) -> int:
+    """Reference: the state count of the minimal partial DFA of the language
+    an automaton accepts (one state for the empty language), by Brzozowski's
+    construction: reverse and determinize twice, on frozensets of states,
+    dropping ∅.  It never calls ``determinize_minimize``."""
+    d = len(automaton.alphabet)
+
+    def determinize(edges, starts, finals):
+        # accessible subset construction: its edges, final states and size
+        index = {frozenset(starts): 0}
+        todo, out = list(index), []
+        while todo:
+            s = todo.pop()
+            for a in range(d):
+                t = frozenset(r for q, b, r in edges if q in s and b == a)
+                if t:
+                    if t not in index:
+                        index[t] = len(index)
+                        todo.append(t)
+                    out.append((index[s], a, index[t]))
+        return out, {i for s, i in index.items() if s & finals}, len(index)
+
+    def reversed_edges(edges):
+        return [(t, a, q) for q, a, t in edges]
+
+    edges, finals, _ = determinize(reversed_edges(automaton.edges()), automaton.accepting, {automaton.initial})
+    return determinize(reversed_edges(edges), finals, {0})[2]
+
+
 def access_words_reference(automaton):
     """Reference: shortest (then lex-least) label of a path from state 1 to
     each state, by a first-in-first-out search over single states."""

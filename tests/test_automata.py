@@ -42,6 +42,7 @@ from helpers import (
     exhaustive_corpus,
     flower_reference,
     lang,
+    minimal_dfa_size_reference,
     random_language_sample,
     strongly_connected_reference,
     w,
@@ -474,6 +475,39 @@ def test_determinize_minimize_preserves_language_and_is_idempotent():
                 assert accepts(m, word) == kleene_membership(x, word)
         again = determinize_minimize(m)
         assert again.n_states == m.n_states
+
+
+def test_determinize_minimize_drops_subsets_that_cannot_accept():
+    # a subset from which no accepting state is reachable acts as the sink:
+    # {ε} and a* each need one state
+    epsilon_only = Automaton(2, Alphabet.of("a"), ((0b10,), (0,)), accepting=frozenset({0}))
+    a_star = automaton_from_json(
+        '{"states": 3, "alphabet": ["a", "b"], "edges": [[0,0,0],[0,1,1],[1,0,2]], "accepting": [0]}'
+    )
+    for automaton, table in ((epsilon_only, ((0,),)), (a_star, ((1, 0),))):
+        m = determinize_minimize(automaton)
+        assert (m.n_states, m.table, m.accepting) == (1, table, frozenset({0}))
+
+
+@st.composite
+def _small_automata(draw):
+    n, d = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    masks = st.integers(0, (1 << n) - 1)
+    table = tuple(tuple(draw(masks) for _ in range(d)) for _ in range(n))
+    initial, accepting = draw(st.integers(0, n - 1)), frozenset(states_from_mask(draw(masks)))
+    return Automaton(n, Alphabet.of(*"abc"[:d]), table, initial=initial, accepting=accepting)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_small_automata())
+def test_determinize_minimize_is_minimal_on_any_automaton(automaton):
+    m = determinize_minimize(automaton)
+    assert is_deterministic(m)
+    assert m.n_states == minimal_dfa_size_reference(automaton)
+    for k in range(4):
+        for tup in itertools.product(range(len(automaton.alphabet)), repeat=k):
+            word = Word(automaton.alphabet, tup)
+            assert accepts(m, word) == accepts(automaton, word)
 
 
 def test_automaton_json_roundtrip():

@@ -9,6 +9,7 @@ import pytest
 from codesync import (
     Alphabet,
     Encoding,
+    EpsilonNotAllowed,
     FiniteLanguage,
     InternalInvariantError,
     LengthProfile,
@@ -365,6 +366,11 @@ def test_a_complete_set_that_does_not_synchronize_raises_not_synchronizing():
         reduce_sync_to_binary(x)
     with pytest.raises(NotSynchronizing):
         uniform_sync_encoding(x)
+
+
+def test_uniform_encoding_refuses_epsilon():
+    with pytest.raises(EpsilonNotAllowed, match="^synchronizing pairs require ε ∉ X$"):
+        uniform_sync_encoding(FiniteLanguage.from_strings(["ε", "a", "ba"]))
 
 
 def test_uniform_encoding_image_avoids_all_a_word():

@@ -123,8 +123,6 @@ def test_only_bounded_queries_take_a_pair_budget():
                     takers.add(f"{path.stem}.{func.name}")
     assert takers == {
         "synchrony.shortest_sync_pair",
-        "synchrony._least_pair",
-        "synchrony._flower_pair",
         "synchrony._pair_search",
         "synchrony._one_sided_pair",
         "reduction.synchronizing_pair_via_reduction",
@@ -134,3 +132,22 @@ def test_only_bounded_queries_take_a_pair_budget():
     assert {
         name for name, p in verbs.choices.items() if any("--budget" in a.option_strings for a in p._actions)
     } == {"analyze", "syncpair", "reduce"}
+
+
+def test_only_the_dispatchers_call_the_pair_searches():
+    """``shortest_sync_pair`` is the one language-level entry to the least-pair
+    searches; besides it only the C sweep's evaluator, on a pool view, and the
+    uniform encoding, which asks for a letter change, call one directly."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):  # nested functions count as their enclosing one
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("_pair_search", "_one_sided_pair"):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {
+        "synchrony.shortest_sync_pair",
+        "experiments.estimate_C",
+        "encoding.uniform_sync_encoding",
+    }

@@ -32,7 +32,7 @@ from codesync import (
 from codesync.automata import Automaton
 from codesync.errors import DEFAULT_SUBSET_CAP, AutomatonContractError, InternalInvariantError
 from codesync import synchrony
-from codesync.synchrony import _flower_pair, _least_pair, _one_sided_flower, _one_sided_pair
+from codesync.synchrony import _one_sided_flower, _one_sided_pair, _pair_search
 
 from helpers import (
     BINARY,
@@ -305,7 +305,7 @@ def test_complete_non_code_pair_beyond_the_default_budget():
     assert shortest_sync_pair(x, 13) is None
     pair = shortest_sync_pair(x, 14)
     assert (pair.u.text, pair.v.text) == ("aaabbaa", "aababaa")
-    assert _least_pair(x, None, DEFAULT_SUBSET_CAP) == pair
+    assert shortest_sync_pair(x, None) == pair
     assert is_sync_pair(x, pair.u, pair.v, method="general")
 
 
@@ -364,7 +364,7 @@ def test_plain_pair_search_matches_eager_reference():
     def pairs(x, budget):
         found = (
             shortest_sync_pair(x, budget),
-            synchrony._least_pair(x, budget, DEFAULT_SUBSET_CAP, letter_change=True),
+            _pair_search(flower_automaton(x), is_code(x), budget, DEFAULT_SUBSET_CAP, letter_change=True),
         )
         return [None if p is None else (p.u, p.v, p.checked_by) for p in found]
 
@@ -526,7 +526,7 @@ def test_one_sided_pairs_match_the_code_path_search():
         length = 12 if pair is None else pair.total_length
         for budget in (length - 1, length) if below else (length,):
             got = shortest_sync_pair(x, budget)
-            code_search = _flower_pair(flower_automaton(x), True, budget, cap)
+            code_search = _pair_search(flower_automaton(x), True, budget, cap)
             assert got == code_search, (x.word_strings(), budget)
             assert got == (pair if budget == length else None)
         mirrored += mirror
