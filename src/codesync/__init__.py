@@ -27,13 +27,10 @@ from .languages import (
     is_code,
     is_prefix,
     kleene_membership,
-    language_to_json,
     parse_language,
 )
 from .automata import (
     Automaton,
-    accepts,
-    automaton_from_json,
     automaton_to_json,
     determinize_minimize,
     first_return_language,
@@ -41,7 +38,6 @@ from .automata import (
     flower_automaton,
     is_deterministic,
     is_transitive,
-    is_unambiguous,
     layered_search,
     mask_from_states,
     reverse,
@@ -52,9 +48,7 @@ from .completeness import (
     CompletionWitness,
     brute_force_incompletable,
     find_completion,
-    is_complete_automaton,
     is_complete_language,
-    left_star_completion,
     shortest_incompletable,
 )
 from .synchrony import (

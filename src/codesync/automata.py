@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     SubsetCapExceeded,
     DEFAULT_SUBSET_CAP,
 )
-from .languages import Alphabet, FiniteLanguage, Word, _json_int, _json_list
+from .languages import Alphabet, FiniteLanguage, Word
 
 
 def mask_from_states(states: Iterable[int]) -> int:
@@ -300,31 +299,6 @@ def is_transitive(automaton: Automaton) -> bool:
     return all(_reach(automaton, automaton.initial, back) == full for back in (False, True))
 
 
-def is_unambiguous(automaton: Automaton) -> bool:
-    """At most one accepting path per accepted word.
-
-    Checked on the product A×A: the automaton is unambiguous iff no pair
-    (p, q) with p ≠ q is both reachable from (1, 1) and co-reachable to
-    (1, 1).  The backward pass stays inside the forward set, which holds every
-    pair on a path from a reachable pair.  Assumes trim input (flower automata
-    are trim by construction).
-    """
-    init = (automaton.initial, automaton.initial)
-
-    def expand(rows, within, pair, key):
-        for row in rows:
-            targets = states_from_mask(row[pair[1]])
-            for p in states_from_mask(row[pair[0]]):
-                for q in targets:
-                    if within is None or (p, q) in within:
-                        yield (p, q), key
-
-    search = partial(layered_search, init, 0, cap=automaton.n_states ** 2, what="product search")
-    reachable = set().union(*search(partial(expand, automaton._letter_rows, None)))
-    backward = search(partial(expand, automaton._rev_rows, reachable))
-    return all(p == q for level in backward for p, q in level)
-
-
 def first_return_language(automaton: Automaton) -> FiniteLanguage:
     """Labels of all paths 1 → 1 with no intermediate visit to 1.
 
@@ -395,16 +369,18 @@ def determinize_minimize(automaton: Automaton) -> Automaton:
 
     The result is the minimal (complete or partial) deterministic automaton
     for the same language, accepting at subsets that meet the accepting
-    states.  Only the subsets that meet ``live``, the states from which an
-    accepting state can be reached, are kept, and a step into any other subset
-    is undefined; the empty language gives one state with no transitions.
+    states.  Every target is masked by ``live``, the states from which an
+    accepting state can be reached (δ(S, a) ∩ live = δ(S ∩ live, a) ∩ live, as
+    dead states reach only dead states), so no dead subset is explored and a
+    step to ∅ is undefined; the empty language gives one state and no steps.
     """
     d = len(automaton.alphabet)
     live = 0
     for q in automaton.accepting:
         live |= _reach(automaton, q, back=True)
-    order, _ = subset_bfs(automaton, 1 << automaton.initial, what="subset construction")
-    order = [s for s in order if s & live]  # the start subset first, unless it is dead
+    automaton = replace(automaton, table=tuple(tuple(m & live for m in row) for row in automaton.table))
+    start = (1 << automaton.initial) & live
+    order = subset_bfs(automaton, start, what="subset construction")[0] if start else []
     index = {s: i for i, s in enumerate(order)}
     trans = [[index.get(automaton.step_letter(s, a)) for a in range(d)] for s in order]
     accept_bit = mask_from_states(automaton.accepting)
@@ -455,41 +431,3 @@ def automaton_to_json(automaton: Automaton) -> str:
     if automaton.labels is not None:
         data["labels"] = list(automaton.labels)
     return json.dumps(data)
-
-
-def automaton_from_json(text: str) -> Automaton:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid automaton JSON: {e}") from None
-    try:
-        n = _json_int(data["states"])
-        alphabet = Alphabet(tuple(_json_list(data, "alphabet")))
-        d = len(alphabet)
-        table = [[0] * d for _ in range(n)]
-        for edge in _json_list(data, "edges"):
-            if not isinstance(edge, list) or len(edge) != 3:
-                raise ParseError(f"edge {edge!r} must be a [from, letter, to] list")
-            q, a, t = map(_json_int, edge)
-            if not (0 <= q < n and 0 <= a < d and 0 <= t < n):
-                raise ParseError(f"edge {(q, a, t)} out of range")
-            table[q][a] |= 1 << t
-        initial = _json_int(data.get("initial", 0))
-        accepting = frozenset(map(_json_int, _json_list(data, "accepting"))) if "accepting" in data else None
-        labels = tuple(_json_list(data, "labels")) if "labels" in data else None
-        return Automaton(
-            n_states=n,
-            alphabet=alphabet,
-            table=tuple(tuple(row) for row in table),
-            initial=initial,
-            accepting=accepting,
-            labels=labels,
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"invalid automaton JSON: {e}") from None
-
-
-def accepts(automaton: Automaton, w: Word) -> bool:
-    """Membership of w in L(A) (paths initial → accepting)."""
-    mask = automaton.step_word(1 << automaton.initial, w)
-    return bool(mask & mask_from_states(automaton.accepting))

@@ -2,7 +2,8 @@
 
 A word w is completable in X when some pair (r, s) has r·w·s ∈ X*; on the trim
 flower automaton this is exactly δ(Q, w) ≠ ∅, so incompletable words are found
-by a breadth-first search over subsets δ(Q, ·) looking for ∅.
+by a breadth-first search over subsets δ(Q, ·) looking for ∅, and a completable
+word's least (r, s) is read off the flower's prefixes with no search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .automata import (
     Automaton,
     _flower_states,
     flower_automaton,
-    layered_search,
     states_from_mask,
     subset_bfs,
 )
@@ -29,7 +29,6 @@ class CompletionWitness:
     r: Word
     s: Word
     word: Word
-    left_in_star: bool
 
 
 def shortest_incompletable(
@@ -51,11 +50,6 @@ def _incompletable_word(automaton: Automaton, cap: int) -> Optional[Word]:
         what="incompletable-word search",
     )
     return word
-
-
-def is_complete_automaton(automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> bool:
-    """True iff δ(Q, u) is nonempty for every word u."""
-    return _incompletable_word(automaton, cap) is None
 
 
 def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
@@ -100,8 +94,8 @@ def find_completion(language: FiniteLanguage, w: Word) -> Optional[CompletionWit
     reading p from state 1, so p is its only path of length |p|, and index
     order is access-word order; a path from p first returns to 1 when it
     completes a word of X, so the least path back is a first return.  Hence
-    |r|, |s| ≤ ℓ(X) − 1; that bound and r·w·s ∈ X* are always checked.  When
-    w ∈ X* the trivial witness (ε, ε) is returned.
+    |r|, |s| ≤ ℓ(X) − 1; that bound and r·w·s ∈ X* are always checked (r
+    itself need not lie in X*).  When w ∈ X* the witness is (ε, ε).
     """
     automaton = flower_automaton(language)
     states = _flower_states(language)
@@ -115,49 +109,7 @@ def find_completion(language: FiniteLanguage, w: Word) -> Optional[CompletionWit
             raise InternalInvariantError("completion r·w·s is not in X*", details)
         if max(len(r), len(s)) > max(language.size - 1, 0):
             raise InternalInvariantError("completion exceeds the trim bound ℓ(X) − 1", details)
-        return CompletionWitness(
-            r=r, s=s, word=w, left_in_star=kleene_membership(language, r)
-        )
-    return None
-
-
-def left_star_completion(
-    language: FiniteLanguage, w: Word, cap: int = DEFAULT_SUBSET_CAP
-) -> Optional[CompletionWitness]:
-    """A completion (y, s) of w with the left context y ∈ X*.
-
-    Searches the subsets δ(1, y) level by level, y ranging over codeword
-    concatenations keyed by their codeword-index sequence; the hit is the least
-    key in the first level with δ(S, w) ≠ ∅, closed with the least word from
-    δ(S, w) back to state 1, read as in :func:`find_completion`.  For complete
-    X this always succeeds; a None result signals that no left-star completion
-    exists (in particular that X is incomplete).  The cap on distinct subsets
-    is checked once per level.
-    """
-    automaton = flower_automaton(language)
-    states = _flower_states(language)
-    codewords = language.words
-
-    def expand(mask, key):
-        for idx, x in enumerate(codewords):
-            t = automaton.step_word(mask, x)
-            if t:
-                yield t, key + (idx,)
-
-    levels = layered_search(
-        1 << automaton.initial, (), expand, cap=cap, what="left-star completion search"
-    )
-    for level in levels:
-        for mask, key in sorted(level.items(), key=lambda item: item[1]):
-            image = automaton.step_word(mask, w)
-            if not image:
-                continue
-            y = Word(language.alphabet, tuple(a for i in key for a in codewords[i].indices))
-            s = _return_word(language, states, image)
-            if not (kleene_membership(language, y) and kleene_membership(language, y + w + s)):
-                details = {"y": y.text, "w": w.text, "s": s.text}
-                raise InternalInvariantError("left-star completion y·w·s is not in X*", details)
-            return CompletionWitness(r=y, s=s, word=w, left_in_star=True)
+        return CompletionWitness(r=r, s=s, word=w)
     return None
 
 

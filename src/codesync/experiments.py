@@ -504,10 +504,12 @@ def _incompletable_from_subsets(cap: int):
     S ∖ {x} is complete, so is S.  Otherwise S's least word is at least each
     stored word, so only the largest of them can be incompletable for S, and
     it is S's least word, under the same entry, when it walks ``full_mask`` to
-    ∅.  Only a member that no subset decides is searched and adds an entry.
+    ∅.  Only a member that no subset decides is searched, and its word is
+    added to ``found`` unless ``index`` already holds it.
     """
     table = None
     found: list = [(None, None)] * 2  # entries 0 and 1 hold no word
+    index: dict = {}  # a word's indices → its entry in found
 
     def evaluate(view: _PoolView):
         nonlocal table
@@ -534,8 +536,10 @@ def _incompletable_from_subsets(cap: int):
             if w is None:
                 table[s] = 1
                 return None
-            best = len(found)
-            found.append((w.sort_key(), w))
+            if w.indices not in index:
+                index[w.indices] = len(found)
+                found.append((w.sort_key(), w))
+            best = index[w.indices]
         table[s] = best
         return len(w), (w,)
 

@@ -286,8 +286,8 @@ def _json_list(data: dict, key: str) -> list:
 
 
 def _json_int(value) -> int:
-    """An index or state of a JSON input, which must be an integer (JSON
-    true and false read as Python bools, which are ints too)."""
+    """A symbol index of a JSON input, which must be an integer (JSON true
+    and false read as Python bools, which are ints too)."""
     if type(value) is not int:
         raise ParseError(f"{value!r} must be a JSON integer")
     return value
@@ -317,15 +317,6 @@ def _parse_language_json(text: str) -> FiniteLanguage:
     if not out:
         raise ParseError("empty language file")
     return FiniteLanguage(alphabet, tuple(out))
-
-
-def language_to_json(language: FiniteLanguage) -> str:
-    return json.dumps(
-        {
-            "alphabet": list(language.alphabet.symbols),
-            "words": [list(w.indices) for w in language.words],
-        }
-    )
 
 
 def kleene_membership(language: FiniteLanguage, w: Word) -> bool:

@@ -3,14 +3,16 @@
 The oracles here deliberately avoid the package's automaton machinery: word
 membership questions go through the positional dynamic program only, and
 factorization counting is done by direct enumeration, so that agreement tests
-actually compare two routes.
+actually compare two routes.  The automaton-side checks ``accepts`` and
+``is_unambiguous`` live here too, as the routes those oracles are compared
+with.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from codesync import Alphabet, FiniteLanguage, LengthProfile, Word, kraft_canonical
 from codesync.languages import kleene_membership
@@ -490,6 +492,43 @@ def strongly_connected_reference(table) -> bool:
     return all(all(row) for row in reach)
 
 
+def accepts(automaton, word: Word) -> bool:
+    """Membership of a word in L(A): a path from the initial state into the
+    accepting set."""
+    from codesync import mask_from_states
+
+    mask = automaton.step_word(1 << automaton.initial, word)
+    return bool(mask & mask_from_states(automaton.accepting))
+
+
+def is_unambiguous(automaton) -> bool:
+    """At most one accepting path per accepted word.
+
+    Checked on the product A×A: the automaton is unambiguous iff no pair
+    (p, q) with p ≠ q is both reachable from (1, 1) and co-reachable to
+    (1, 1).  The backward pass stays inside the forward set, which holds every
+    pair on a path from a reachable pair.  Assumes trim input (flower automata
+    are trim by construction).  A flower is unambiguous iff X is a code, so
+    this checks ``is_code`` by another route.
+    """
+    from codesync import layered_search, states_from_mask
+
+    init = (automaton.initial, automaton.initial)
+
+    def expand(rows, within, pair, key):
+        for row in rows:
+            targets = states_from_mask(row[pair[1]])
+            for p in states_from_mask(row[pair[0]]):
+                for q in targets:
+                    if within is None or (p, q) in within:
+                        yield (p, q), key
+
+    search = partial(layered_search, init, 0, cap=automaton.n_states ** 2, what="product search")
+    reachable = set().union(*search(partial(expand, automaton._letter_rows, None)))
+    backward = search(partial(expand, automaton._rev_rows, reachable))
+    return all(p == q for level in backward for p, q in level)
+
+
 def minimal_dfa_size_reference(automaton) -> int:
     """Reference: the state count of the minimal partial DFA of the language
     an automaton accepts (one state for the empty language), by Brzozowski's
@@ -565,55 +604,6 @@ def coaccess_words_reference(automaton):
                     out[q] = best
                     changed = True
     return out
-
-
-def left_star_completion_reference(language: FiniteLanguage, word: Word):
-    """Reference left-star completion: a first-in-first-out search over the
-    subsets δ(1, y), y a codeword concatenation, with parent pointers; the
-    first dequeued subset S with δ(S, w) ≠ ∅ is closed with the least
-    co-access word of its image."""
-    from codesync import CompletionWitness, flower_automaton, states_from_mask
-
-    automaton = flower_automaton(language)
-    coaccess = coaccess_words_reference(automaton)
-    codewords = list(language.words)
-
-    def apply_word(mask, x):
-        for a in x.indices:
-            mask = automaton.step_letter(mask, a)
-        return mask
-
-    start = 1 << automaton.initial
-    parent = {}
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        s_mask = queue[head]
-        head += 1
-        image = automaton.step_word(s_mask, word)
-        if image:
-            q = min(
-                states_from_mask(image),
-                key=lambda t: (len(coaccess[t]), coaccess[t].indices),
-            )
-            pieces = []
-            cur = s_mask
-            while cur != start:
-                prev, idx = parent[cur]
-                pieces.append(codewords[idx])
-                cur = prev
-            y = Word.epsilon(language.alphabet)
-            for piece in reversed(pieces):
-                y = y + piece
-            return CompletionWitness(r=y, s=coaccess[q], word=word, left_in_star=True)
-        for idx, x in enumerate(codewords):
-            t = apply_word(s_mask, x)
-            if t and t not in seen:
-                seen.add(t)
-                parent[t] = (s_mask, idx)
-                queue.append(t)
-    return None
 
 
 def min_marked_reference(aprime, marked_symbol: str):

@@ -15,32 +15,33 @@ from codesync import (
     FiniteLanguage,
     ParseError,
     Word,
-    accepts,
-    automaton_from_json,
     automaton_to_json,
     determinize_minimize,
     first_return_language,
     first_return_size,
     flower_automaton,
     is_code,
-    is_complete_automaton,
     is_deterministic,
     is_prefix,
     is_transitive,
-    is_unambiguous,
     kleene_membership,
     mask_from_states,
     reverse,
     states_from_mask,
 )
+from codesync import automata
+from codesync.completeness import _incompletable_word
+from codesync.errors import DEFAULT_SUBSET_CAP
 from codesync.synchrony import cerny_family
 
 from helpers import (
     BINARY,
     EXAMPLE_PREFIX,
     EXAMPLE_SET,
+    accepts,
     exhaustive_corpus,
     flower_reference,
+    is_unambiguous,
     lang,
     minimal_dfa_size_reference,
     random_language_sample,
@@ -136,33 +137,6 @@ def test_automaton_contract_rejects_bad_rows(table, reason):
 def test_automaton_contract_rejects_bad_accepting_and_labels(fields, reason):
     with pytest.raises(AutomatonContractError):
         Automaton(n_states=2, alphabet=BINARY, table=((2, 1), (1, 1)), **fields)
-
-
-def test_automaton_from_json_rejects_bad_accepting_and_labels():
-    edges = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0]]
-    base = {"states": 2, "alphabet": ["a", "b"], "edges": edges}
-    assert accepts(automaton_from_json(json.dumps(base)), Word.parse("ab", BINARY))
-    for extra in ({"accepting": [5]}, {"accepting": [-1]}, {"labels": ["1"]}):
-        with pytest.raises(AutomatonContractError):
-            automaton_from_json(json.dumps({**base, **extra}))
-
-
-@pytest.mark.parametrize("extra", [
-    {"states": 2.9},
-    {"states": True, "edges": [[0, 0, 0], [0, 1, 0]]},
-    {"initial": 1.5},
-    {"initial": False},
-    {"alphabet": "ab"},
-    {"edges": [[0, True, 1]]},
-    {"accepting": [True]},
-    {"labels": "12"},
-])
-def test_automaton_from_json_rejects_non_integer_and_non_list_fields(extra):
-    # before, 2.9 states read as 2, and initial 1.5 stayed the accepting state
-    edges = [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 0]]
-    base = {"states": 2, "alphabet": ["a", "b"], "edges": edges}
-    with pytest.raises(ParseError):
-        automaton_from_json(json.dumps({**base, **extra}))
 
 
 def test_step_forward_examples():
@@ -299,17 +273,17 @@ def test_step_letter_back_walks_the_smaller_side_of_a_total_letter(x):
 def test_structural_predicates_on_examples():
     prefix = flower_automaton(lang(EXAMPLE_PREFIX))
     assert is_deterministic(prefix)
-    assert is_complete_automaton(prefix)
+    assert _incompletable_word(prefix, DEFAULT_SUBSET_CAP) is None
     assert is_transitive(prefix)
     assert is_unambiguous(prefix)
 
     nondet = flower_automaton(lang(EXAMPLE_SET))
     assert not is_deterministic(nondet)  # b has two a-successors (1 and ba)
-    assert not is_complete_automaton(nondet)
+    assert _incompletable_word(nondet, DEFAULT_SUBSET_CAP) is not None
     assert is_transitive(nondet)
 
     single = flower_automaton(lang(["a"]))
-    assert is_deterministic(single) and is_complete_automaton(single)
+    assert is_deterministic(single) and _incompletable_word(single, DEFAULT_SUBSET_CAP) is None
     assert is_transitive(single) and is_unambiguous(single)
 
 
@@ -477,16 +451,38 @@ def test_determinize_minimize_preserves_language_and_is_idempotent():
         assert again.n_states == m.n_states
 
 
+# edges 0 -a-> 0, 0 -b-> 1, 1 -a-> 2 and accepting {0}: L = a*, states 1 and 2 are dead
+A_STAR = Automaton(3, BINARY, ((0b001, 0b010), (0b100, 0), (0, 0)), accepting=frozenset({0}))
+
+
 def test_determinize_minimize_drops_subsets_that_cannot_accept():
     # a subset from which no accepting state is reachable acts as the sink:
     # {ε} and a* each need one state
     epsilon_only = Automaton(2, Alphabet.of("a"), ((0b10,), (0,)), accepting=frozenset({0}))
-    a_star = automaton_from_json(
-        '{"states": 3, "alphabet": ["a", "b"], "edges": [[0,0,0],[0,1,1],[1,0,2]], "accepting": [0]}'
-    )
-    for automaton, table in ((epsilon_only, ((0,),)), (a_star, ((1, 0),))):
+    for automaton, table in ((epsilon_only, ((0,),)), (A_STAR, ((1, 0),))):
         m = determinize_minimize(automaton)
         assert (m.n_states, m.table, m.accepting) == (1, table, frozenset({0}))
+
+
+def test_determinize_minimize_explores_no_dead_subset(monkeypatch):
+    # the subset search runs on targets masked by the live states, so a*
+    # explores {0} alone, not {0}, {1}, {2}, and a dead start explores nothing
+    explored = []
+    search = automata.subset_bfs
+
+    def counted(*args, **kwargs):
+        order, word = search(*args, **kwargs)
+        explored.extend(order)
+        return order, word
+
+    monkeypatch.setattr(automata, "subset_bfs", counted)
+    assert determinize_minimize(A_STAR).n_states == 1
+    assert explored == [0b001]
+    explored.clear()
+    no_accepting = Automaton(2, BINARY, ((0b11, 0b10), (0b01, 0)), accepting=frozenset())
+    m = determinize_minimize(no_accepting)
+    assert (m.n_states, m.table, m.accepting) == (1, ((0, 0),), frozenset())
+    assert explored == []
 
 
 @st.composite
@@ -512,11 +508,18 @@ def test_determinize_minimize_is_minimal_on_any_automaton(automaton):
 
 def test_automaton_json_roundtrip():
     a = flower_automaton(lang(EXAMPLE_SET))
-    b = automaton_from_json(automaton_to_json(a))
-    assert b.n_states == a.n_states
-    assert b.edges() == a.edges()
-    assert b.alphabet == a.alphabet
-    assert automaton_to_json(b) == automaton_to_json(a)
+    assert json.loads(automaton_to_json(a)) == {
+        "states": 5,
+        "initial": 0,
+        "alphabet": ["a", "b"],
+        "edges": [list(e) for e in a.edges()],
+        "labels": ["1", "a", "b", "ba", "bb"],
+    }
+    two_accepting = Automaton(2, BINARY, ((0b10, 0), (0, 0b01)), accepting=frozenset({0, 1}))
+    assert json.loads(automaton_to_json(two_accepting)) == {
+        "states": 2, "initial": 0, "alphabet": ["a", "b"],
+        "edges": [[0, 0, 1], [1, 1, 0]], "accepting": [0, 1],
+    }
 
 
 def test_mask_helpers():

@@ -17,7 +17,6 @@ from codesync import (
     is_code,
     is_complete_language,
     kleene_membership,
-    left_star_completion,
     shortest_incompletable,
 )
 from codesync import completeness
@@ -35,7 +34,6 @@ from helpers import (
     has_completion_brute,
     lang,
     least_completion_brute,
-    left_star_completion_reference,
     random_language_sample,
     small_class_languages,
     w,
@@ -89,7 +87,6 @@ def test_find_completion_trivial_for_star_members():
     x = lang(EXAMPLE_SET)
     witness = find_completion(x, w("abba"))
     assert witness.r.text == "ε" and witness.s.text == "ε"
-    assert witness.left_in_star
 
 
 def test_find_completion_none_for_incompletable():
@@ -107,31 +104,8 @@ def test_trim_bound_whenever_completion_exists():
                     assert len(witness.r) <= bound and len(witness.s) <= bound
 
 
-def test_left_star_completion_examples():
-    x = lang(["a", "ba", "bb"])
-    one = left_star_completion(x, w("b"))
-    assert one.left_in_star and one.r.text == "ε" and one.s.text == "a"
-    two = left_star_completion(x, w("a"))
-    assert two.r.text == "ε" and two.s.text == "ε"
-    # incompletable words of incomplete languages have no completion at all
-    assert left_star_completion(lang(EXAMPLE_SET), w("abbabba")) is None
-
-
-def test_left_star_completion_succeeds_on_complete_corpus():
-    complete = [x for x in exhaustive_corpus() if is_complete_language(x)]
-    assert complete
-    for x in complete:
-        for k in range(0, 4):
-            for tup in itertools.product((0, 1), repeat=k):
-                word = Word(BINARY, tup)
-                witness = left_star_completion(x, word)
-                assert witness is not None, (x.word_strings(), word.text)
-                assert kleene_membership(x, witness.r)
-                assert kleene_membership(x, witness.r + word + witness.s)
-
-
 def test_state_words_and_witnesses_match_the_references():
-    """Access/co-access words, completion and left-star witnesses against the
+    """Access/co-access words and completion witnesses against the
     first-in-first-out and relaxation searches they replaced, on every word of
     length ≤ 4 of the exhaustive corpus and of two languages over a a' bb."""
     tokens = Alphabet(("a", "a'", "bb"))
@@ -139,7 +113,7 @@ def test_state_words_and_witnesses_match_the_references():
         lang(["a", "a'bb", "bb a", "bb bb"], tokens),
         lang(["a a'", "a' a", "bb", "a bb a"], tokens),
     ]
-    found = nonempty_left = 0
+    found = 0
     for x in corpus:
         a = flower_automaton(x)
         access, coaccess = access_words_reference(a), coaccess_words_reference(a)
@@ -160,11 +134,8 @@ def test_state_words_and_witnesses_match_the_references():
                         break
                 witness = find_completion(x, word)
                 assert (witness and (witness.r, witness.s)) == expected, (x, word)
-                left = left_star_completion(x, word)
-                assert left == left_star_completion_reference(x, word), (x, word)
                 found += witness is not None
-                nonempty_left += left is not None and len(left.r) > 0
-    assert found > 10000 and nonempty_left > 1000
+    assert found > 10000
 
 
 def test_oracle_equivalence_exhaustive():
@@ -225,8 +196,7 @@ def test_completion_runs_no_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a completion ran a subset search")
 
-    monkeypatch.setattr(completeness, "layered_search", no_search)
-    monkeypatch.setattr(completeness, "subset_bfs", no_search)
+    monkeypatch.setattr(completeness, "subset_bfs", no_search)  # its only subset search
     x = lang(EXAMPLE_SET)
     assert find_completion(x, w("abbabba")) is None
     witness = find_completion(x, w("bbabb"))
@@ -256,10 +226,8 @@ def test_prefix_quadratic_bound_on_corpus():
 
 
 def test_automaton_and_language_completeness_agree():
-    from codesync import is_complete_automaton
-
     for x in exhaustive_corpus()[::5]:
-        assert is_complete_automaton(flower_automaton(x)) == is_complete_language(x)
+        assert (shortest_incompletable(x) is None) == is_complete_language(x)
 
 
 def test_random_witnesses_verify_against_definitional_checker():

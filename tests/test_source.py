@@ -1,4 +1,4 @@
-"""Source-level checks on the package."""
+"""Source-level checks on the package, its tests, its benchmark and its README."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "codesync"
+BENCH = ROOT / "bench"
 
 
 def test_no_bare_asserts_in_package():
@@ -151,3 +152,59 @@ def test_only_the_dispatchers_call_the_pair_searches():
         "experiments.estimate_C",
         "encoding.uniform_sync_encoding",
     }
+
+
+# Exported functions that nothing in src/ or bench/ calls, each kept for a reason.
+UNCALLED_EXPORTS = {
+    "is_constant": "acceptance criterion 5 checks the constant/pair duality with it; the README tour shows it",
+    "enumerate_class_languages": "the public listing of a class's members, which the tests compare with references",
+}
+
+
+def test_every_exported_function_has_a_caller():
+    """Each function ``codesync`` exports is used in ``src/`` outside its own
+    body, imported in ``bench/``, or named in :data:`UNCALLED_EXPORTS`."""
+    import inspect
+
+    import codesync
+
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((SRC / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    functions = {name for name in exported if inspect.isfunction(getattr(codesync, name))}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = getattr(top, "name", None)  # a function's own body, recursion included, is no caller
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))  # a Name or an Attribute
+                if name in functions and name != own:
+                    used.add(name)
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("codesync"):
+                used.update(alias.name for alias in node.names)
+    assert functions - used == set(UNCALLED_EXPORTS), sorted(functions - used)
+
+
+def test_every_python_file_parses_at_the_3_10_floor():
+    """pyproject requires Python >= 3.10; no file may use newer syntax."""
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]
+    assert len(paths) > 25
+    for path in sorted(paths):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_readme_library_tour_runs():
+    """The ``python`` block under "## Library tour" runs as written."""
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["trace"].final_length == 3
