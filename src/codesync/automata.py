@@ -13,13 +13,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
-from .errors import (
-    AutomatonContractError,
-    EpsilonNotAllowed,
-    ParseError,
-    SubsetCapExceeded,
-    DEFAULT_SUBSET_CAP,
-)
+from . import errors
+from .errors import AutomatonContractError, EpsilonNotAllowed, ParseError, SubsetCapExceeded
 from .languages import Alphabet, FiniteLanguage, Word
 
 
@@ -213,7 +208,6 @@ def subset_bfs(
     *,
     back: bool = False,
     goal: Optional[Callable[[int], bool]] = None,
-    cap: int = DEFAULT_SUBSET_CAP,
     what: str = "subset search",
 ) -> tuple[list[int], Optional[Word]]:
     """Breadth-first search in the subset automaton from ``start``.
@@ -224,8 +218,10 @@ def subset_bfs(
     discovered nonempty subsets in discovery order, start first, and the least
     word whose subset satisfies ``goal`` (None when no subset does).  ∅ is
     tested against ``goal`` but never expanded; the goal is tested before the
-    cap on distinct nonempty subsets, so a hit returns before the cap can fire.
+    cap :data:`errors.SUBSET_CAP` on distinct nonempty subsets, so a hit returns
+    before the cap can fire.
     """
+    cap = errors.SUBSET_CAP
     step = automaton.step_letter_back if back else automaton.step_letter
     letters = range(len(automaton.alphabet))
     parent: dict[int, Optional[tuple[int, int]]] = {start: None}
@@ -256,20 +252,19 @@ def subset_bfs(
     return order, Word(automaton.alphabet, tuple(reversed(word)))
 
 
-def layered_search(
-    start: Hashable, key: Any, expand: Callable, *, cap: int = DEFAULT_SUBSET_CAP, what: str
-) -> Iterator[dict]:
+def layered_search(start: Hashable, key: Any, expand: Callable, *, what: str) -> Iterator[dict]:
     """Yield, length by length, the states first reached at that length, each
     with the least key that ``expand(state, key)`` gives it from the previous
     level.  Exact for keys ordered compatibly with extension: every prefix of a
     least-key shortest witness reaches its state at that state's distance.
-    The cap on distinct states is checked once the caller has seen a level.
+    The cap :data:`errors.SUBSET_CAP` on distinct states is checked once the
+    caller has seen a level.
     """
     level, seen = {start: key}, {start}
     while level:
         yield level
-        if len(seen) > cap:
-            raise SubsetCapExceeded(cap, what)
+        if len(seen) > errors.SUBSET_CAP:
+            raise SubsetCapExceeded(errors.SUBSET_CAP, what)
         nxt: dict = {}
         for s, k in level.items():
             for t, kt in expand(s, k):
@@ -299,12 +294,16 @@ def is_transitive(automaton: Automaton) -> bool:
     return all(_reach(automaton, automaton.initial, back) == full for back in (False, True))
 
 
+_INFINITE_RETURNS = "a cycle avoids state 1; the first-return set is infinite"
+
+
 def first_return_language(automaton: Automaton) -> FiniteLanguage:
     """Labels of all paths 1 → 1 with no intermediate visit to 1.
 
     This is the minimal generating set Y of L(A), with Y ∩ Y²Y* = ∅.  The walk
     keeps to states co-reachable to 1, and raises on a cycle there avoiding 1
-    that it reaches, since Y would then be infinite.
+    that it reaches, since Y would then be infinite.  It keeps its own stack,
+    so a word of Y may be longer than Python's recursion limit.
     """
     if automaton.accepting != frozenset({automaton.initial}):
         raise AutomatonContractError("first-return extraction needs I = F = {1}")
@@ -315,19 +314,22 @@ def first_return_language(automaton: Automaton) -> FiniteLanguage:
         if back >> t & 1:
             out_edges[q].append((a, t))
     words: list[Word] = []
-
-    def walk(state: int, acc: tuple[int, ...], path: int):
-        for a, t in out_edges[state]:
+    path = 0  # the states on the current path, below state 1
+    stack = [(init, (), iter(out_edges[init]))]
+    while stack:
+        state, acc, todo = stack[-1]
+        for a, t in todo:
             if t == init:
                 words.append(Word(automaton.alphabet, acc + (a,)))
             elif path >> t & 1:
-                raise AutomatonContractError(
-                    "a cycle avoids state 1; the first-return set is infinite"
-                )
+                raise AutomatonContractError(_INFINITE_RETURNS)
             else:
-                walk(t, acc + (a,), path | 1 << t)
-
-    walk(init, (), 0)
+                path |= 1 << t
+                stack.append((t, acc + (a,), iter(out_edges[t])))
+                break
+        else:
+            stack.pop()
+            path &= ~(1 << state)
     return FiniteLanguage(automaton.alphabet, tuple(words))
 
 
@@ -337,7 +339,9 @@ def first_return_size(automaton: Automaton) -> int:
     One memoized longest-path pass over the states co-reachable to 1, avoiding
     1: the longest path 1 → 1 with no intermediate visit to 1.  Same contract
     as :func:`first_return_language`: I = F = {1}, and a reached cycle avoiding
-    1 raises.
+    1 raises.  The depth-first pass keeps its own stack, so a path may be
+    longer than Python's recursion limit; a state is unvisited, on the path
+    (``path``) or finished (in ``depth``), and a step onto the path is a cycle.
     """
     if automaton.accepting != frozenset({automaton.initial}):
         raise AutomatonContractError("first-return extraction needs I = F = {1}")
@@ -348,20 +352,24 @@ def first_return_size(automaton: Automaton) -> int:
         for m in row:
             targets[q] |= m
     depth: dict[int, int] = {}  # longest path q → 1 avoiding 1, per finished q
-
-    def longest(state: int, path: int) -> int:
-        best = targets[state] >> init & 1
-        for t in states_from_mask(targets[state] & inner):
+    path = 0
+    kids = states_from_mask(targets[init] & inner)
+    stack = [(init, kids, iter(kids))]
+    while stack:
+        state, kids, todo = stack[-1]
+        for t in todo:
             if path >> t & 1:
-                raise AutomatonContractError(
-                    "a cycle avoids state 1; the first-return set is infinite"
-                )
+                raise AutomatonContractError(_INFINITE_RETURNS)
             if t not in depth:
-                depth[t] = longest(t, path | 1 << t)
-            best = max(best, 1 + depth[t])
-        return best
-
-    return longest(init, 0)
+                path |= 1 << t
+                nxt = states_from_mask(targets[t] & inner)
+                stack.append((t, nxt, iter(nxt)))
+                break
+        else:
+            stack.pop()
+            path &= ~(1 << state)
+            depth[state] = max([targets[state] >> init & 1] + [1 + depth[t] for t in kids])
+    return depth[init]
 
 
 def determinize_minimize(automaton: Automaton) -> Automaton:

@@ -55,7 +55,7 @@ EXIT_INTERNAL = 4
 
 def _load_language(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not a word
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse_language(text)

@@ -18,7 +18,7 @@ from .automata import (
     states_from_mask,
     subset_bfs,
 )
-from .errors import InternalInvariantError, DEFAULT_SUBSET_CAP
+from .errors import InternalInvariantError
 from .languages import FiniteLanguage, Word, is_code, kleene_membership
 
 
@@ -31,28 +31,25 @@ class CompletionWitness:
     word: Word
 
 
-def shortest_incompletable(
-    language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
-) -> Optional[Word]:
+def shortest_incompletable(language: FiniteLanguage) -> Optional[Word]:
     """A shortest incompletable word of X, or None when X is complete.
 
     Ties among shortest witnesses are broken lexicographically in alphabet
     order, so the output is reproducible.
     """
-    return _incompletable_word(flower_automaton(language), cap)
+    return _incompletable_word(flower_automaton(language))
 
 
-def _incompletable_word(automaton: Automaton, cap: int) -> Optional[Word]:
+def _incompletable_word(automaton: Automaton) -> Optional[Word]:
     """The least word w with δ(Q, w) = ∅ on any object that steps subsets as an
     :class:`Automaton` does, such as a view of the flower automaton."""
     _, word = subset_bfs(
-        automaton, automaton.full_mask, goal=lambda t: not t, cap=cap,
-        what="incompletable-word search",
+        automaton, automaton.full_mask, goal=lambda t: not t, what="incompletable-word search"
     )
     return word
 
 
-def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+def is_complete_language(language: FiniteLanguage) -> bool:
     """True iff every word is completable in X.
 
     An ε-free code is decided by Schützenberger's theorem (Berstel–Perrin–
@@ -61,19 +58,18 @@ def is_complete_language(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
     and no cap.  Any other set is decided by the search for an incompletable
     word, which its Kraft sum does not replace.
 
-    The answer is memoized on the language with the cap it was found under (0
-    for a Kraft sum); a smaller cap searches again, so a cap error is raised
-    exactly when it would be without the memo, and is never memoized.
+    The answer is memoized on the language; a cap error propagates before
+    anything is stored, so it is never memoized.
     """
-    memo = language._memo.get("complete")
-    if memo is not None and memo[1] <= cap:
-        return memo[0]
+    complete = language._memo.get("complete")
+    if complete is not None:
+        return complete
     if not language.contains_epsilon and is_code(language):
         d, top = len(language.alphabet), language.size
-        complete, cap = sum(d ** (top - len(x)) for x in language.words) == d ** top, 0
+        complete = sum(d ** (top - len(x)) for x in language.words) == d ** top
     else:
-        complete = shortest_incompletable(language, cap) is None
-    language._memo["complete"] = complete, cap
+        complete = shortest_incompletable(language) is None
+    language._memo["complete"] = complete
     return complete
 
 

@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     SearchBudgetExceeded,
     DEFAULT_COLORING_SEED,
-    DEFAULT_SUBSET_CAP,
 )
 from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix
 from .synchrony import SyncPair, _pair_search, is_sync_pair, is_synchronizing_dfa, shortest_sync_pair
@@ -325,9 +324,7 @@ class BinaryReductionTrace:
         )
 
 
-def reduce_incompletable_to_binary(
-    language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP
-) -> tuple[Word, BinaryReductionTrace]:
+def reduce_incompletable_to_binary(language: FiniteLanguage) -> tuple[Word, BinaryReductionTrace]:
     """Derive a short incompletable word of X from one of its binary encoding.
 
     Encodes the d-letter alphabet on the canonical complete binary prefix code
@@ -342,7 +339,7 @@ def reduce_incompletable_to_binary(
     y = kraft_canonical(profile)
     h = Encoding.from_code(language.alphabet, y)
     hx = apply_encoding(h, language)
-    v = shortest_incompletable(hx, cap)
+    v = shortest_incompletable(hx)
     if v is None:
         raise ParseError("X is complete; the incompletable reduction needs an incomplete language")
     u_prefixpart, leftover = h.decode_prefix(v)
@@ -383,11 +380,7 @@ def reduce_incompletable_to_binary(
     return u, trace
 
 
-def reduce_sync_to_binary(
-    language: FiniteLanguage,
-    seed: int = DEFAULT_COLORING_SEED,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> tuple[SyncPair, BinaryReductionTrace]:
+def reduce_sync_to_binary(language: FiniteLanguage) -> tuple[SyncPair, BinaryReductionTrace]:
     """Derive a synchronizing pair of X from one of its binary encoding.
 
     X must be complete.  The alphabet is encoded on a road-colored
@@ -400,20 +393,20 @@ def reduce_sync_to_binary(
     d = len(language.alphabet)
     if d < 3:
         raise ParseError("the binary reduction needs d ≥ 3")
-    if not is_complete_language(language, cap):
+    if not is_complete_language(language):
         raise NotComplete("the synchronization reduction needs a complete language")
     m = d.bit_length() - 1
     if d == 1 << m:
         profile = length_profile_power2(d)
     else:
         profile = length_profile_general(d)
-    y = road_colored_sync_code(profile, seed=seed)
+    y = road_colored_sync_code(profile)
     h = Encoding.from_code(language.alphabet, y)
     hx = apply_encoding(h, language)
     details = {"language": language.word_strings(), "image_code": y.word_strings()}
-    if not is_complete_language(hx, cap):
+    if not is_complete_language(hx):
         raise InternalInvariantError("h(X) is incomplete although X and h(A) are complete", details)
-    pair_b = shortest_sync_pair(hx, None, cap)
+    pair_b = shortest_sync_pair(hx, None)
     if pair_b is None:
         raise NotSynchronizing("X is complete and does not synchronize: h(X) has no pair")
     u, ru = h.decode_prefix(pair_b.u)
@@ -421,7 +414,7 @@ def reduce_sync_to_binary(
     details["pair"] = [pair_b.u.text, pair_b.v.text]
     if len(ru) or len(rv):
         raise InternalInvariantError("decoded pair is not an image of X* words", details)
-    if not is_sync_pair(language, u, v, cap=cap):
+    if not is_sync_pair(language, u, v):
         raise InternalInvariantError(
             "decoded pair failed verification on X", {**details, "decoded": [u.text, v.text]}
         )
@@ -448,10 +441,7 @@ def reduce_sync_to_binary(
     return SyncPair(u=u, v=v, checked_by="decoded"), trace
 
 
-def uniform_sync_encoding(
-    language: FiniteLanguage,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> tuple[Optional[SyncPair], BinaryReductionTrace]:
+def uniform_sync_encoding(language: FiniteLanguage) -> tuple[Optional[SyncPair], BinaryReductionTrace]:
     """Transport a synchronizing pair through a uniform binary encoding.
 
     Completeness is not required.  With m = ⌈log₂(d+1)⌉ the source letters map
@@ -481,7 +471,7 @@ def uniform_sync_encoding(
 
     if language.contains_epsilon:
         raise EpsilonNotAllowed("synchronizing pairs require ε ∉ X")
-    pair = _pair_search(flower_automaton(language), is_code(language), None, cap, letter_change=True)
+    pair = _pair_search(flower_automaton(language), is_code(language), None, letter_change=True)
     if pair is None:
         raise NotSynchronizing("X does not synchronize: it has no pair")
     uv = (pair.u + pair.v).indices
@@ -509,7 +499,7 @@ def uniform_sync_encoding(
     h = Encoding(source=language.alphabet, target=target, images=tuple(images))
     hx = apply_encoding(h, language)
     hu, hv = h.apply(pair.u), h.apply(pair.v)
-    if not is_sync_pair(hx, hu, hv, cap=cap):
+    if not is_sync_pair(hx, hu, hv):
         raise InternalInvariantError(
             "encoded pair failed verification on h(X)",
             {

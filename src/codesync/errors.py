@@ -1,7 +1,7 @@
-"""Exception hierarchy and resource-cap defaults shared across the package."""
+"""Exception hierarchy and the resource caps shared across the package."""
 
-DEFAULT_SUBSET_CAP = 2 ** 20
-DEFAULT_INSTANCE_CAP = 2 ** 24
+SUBSET_CAP = 2 ** 20  # distinct subsets per search, read by the two search kernels
+INSTANCE_CAP = 2 ** 24  # candidates per exhaustive enumeration
 DEFAULT_COLORING_SEED = 0xC0DE
 
 
@@ -41,13 +41,13 @@ class SubsetCapExceeded(CodesyncError):
     """A subset-space search visited more distinct subsets than its cap.
 
     The exponential worst case of these searches is made explicit rather than
-    silently looping; callers may retry with a larger cap.
+    silently looping; the cap is the constant :data:`SUBSET_CAP`.
     """
 
-    def __init__(self, cap, context=""):
-        self.cap = cap
+    def __init__(self, limit, context=""):
+        self.cap = limit
         self.context = context
-        msg = f"subset search exceeded cap of {cap} distinct subsets"
+        msg = f"subset search exceeded cap of {limit} distinct subsets"
         if context:
             msg += f" ({context})"
         super().__init__(msg)

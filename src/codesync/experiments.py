@@ -19,15 +19,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Optional
 
+from . import errors
 from .automata import flower_automaton
 from .completeness import _incompletable_word, is_complete_language, shortest_incompletable
-from .errors import (
-    CodesyncError,
-    InternalInvariantError,
-    SearchBudgetExceeded,
-    DEFAULT_INSTANCE_CAP,
-    DEFAULT_SUBSET_CAP,
-)
+from .errors import CodesyncError, InternalInvariantError, SearchBudgetExceeded
 from .encoding import LengthProfile, _first_sync_code, _random_colorings, kraft_canonical
 from .languages import Alphabet, FiniteLanguage, Word, _sardinas_patterson, is_code, is_prefix
 from .reduction import ReductionTrace, synchronizing_pair_via_reduction
@@ -181,12 +176,12 @@ class _PoolTrie:
     stays small for any pool size.
     """
 
-    def __init__(self, n: int, d: int, instance_cap: int):
-        size = _pool_size(n, d)
-        if size >= max(instance_cap, 0).bit_length():  # 2^size > instance_cap
+    def __init__(self, n: int, d: int):
+        size, cap = _pool_size(n, d), errors.INSTANCE_CAP
+        if size >= cap.bit_length():  # 2^size > cap
             raise SearchBudgetExceeded(
                 f"exhaustive enumeration needs 2^{size} candidates; "
-                f"cap is {instance_cap} — use random mode"
+                f"cap is {cap} — use random mode"
             )
         self.n = n
         self.alphabet = Alphabet.lowercase(d)
@@ -293,29 +288,26 @@ class _PoolView:
         return _or_lookup(self.trie.up[a], words, self.trie.half)
 
 
-def _class_pool(class_tag: str, n: int, d: int, instance_cap: int) -> _PoolTrie:
+def _class_pool(class_tag: str, n: int, d: int) -> _PoolTrie:
     """The pool trie of an exhaustive enumeration, built only once the class
     tag and the candidate count have been checked."""
     if class_tag not in CLASS_TAGS:
         raise CodesyncError(f"unknown class tag {class_tag!r}")
-    return _PoolTrie(n, d, instance_cap)
+    return _PoolTrie(n, d)
 
 
 def enumerate_class_languages(
-    class_tag: str,
-    n: int,
-    d: int,
-    canonicalize: bool = True,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
+    class_tag: str, n: int, d: int, canonicalize: bool = True
 ) -> Iterator[FiniteLanguage]:
     """All nonempty languages of size ≤ n on d letters in the class.
 
     Enumerates the member subsets of the word pool A^{≤n} (ε excluded) as
     pool-index bitmasks in ascending order; the candidate count 2^|pool| must
-    stay under the instance cap, otherwise random mode is the way out.  A
-    language is built only for each mask that :meth:`_PoolTrie.masks` yields.
+    stay under :data:`~codesync.errors.INSTANCE_CAP`, otherwise random mode is
+    the way out.  A language is built only for each mask that
+    :meth:`_PoolTrie.masks` yields.
     """
-    trie = _class_pool(class_tag, n, d, instance_cap)
+    trie = _class_pool(class_tag, n, d)
     for bits in trie.masks(class_tag, canonicalize):
         yield trie.language(bits)
 
@@ -426,7 +418,6 @@ def _sweep(
     mode: str,
     samples: int,
     seed: int,
-    instance_cap: int,
     evaluate,
     recheck,
 ) -> ExperimentReport:
@@ -447,7 +438,7 @@ def _sweep(
         raise CodesyncError(f"random mode needs at least 1 sample, got {samples}")
     start = time.monotonic()
     if mode == "exhaustive":
-        trie = _class_pool(class_tag, n, d, instance_cap)
+        trie = _class_pool(class_tag, n, d)
         instances = (
             (_PoolView(trie, bits), partial(trie.language, bits))
             for bits in trie.masks(class_tag, True)
@@ -492,7 +483,7 @@ def _sweep(
     )
 
 
-def _incompletable_from_subsets(cap: int):
+def _incompletable_from_subsets():
     """The exhaustive R evaluator: ``evaluate(view)`` gives the least
     incompletable word of each member, read off its subsets where they decide
     it, in the ``(length, (word,))`` form of :func:`_sweep`.
@@ -532,7 +523,7 @@ def _incompletable_from_subsets(cap: int):
             for a in w.indices:
                 t = view.step_letter(t, a)
         if w is None or t:
-            w = _incompletable_word(view, cap)
+            w = _incompletable_word(view)
             if w is None:
                 table[s] = 1
                 return None
@@ -553,8 +544,6 @@ def estimate_R(
     mode: str = "exhaustive",
     samples: int = 500,
     seed: int = 0,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> ExperimentReport:
     """Max over enumerated incomplete class instances of the minimal
     incompletable-word length; exact in exhaustive mode, a lower bound of the
@@ -567,20 +556,19 @@ def estimate_R(
     candidates: if T ⊆ S then T* ⊆ S*, so T complete makes S complete, and
     every incompletable word of S is incompletable for T (see
     :func:`_incompletable_from_subsets`).  A candidate decided that way runs
-    no search, so it cannot reach ``cap``.
+    no search, so it cannot reach the subset cap.
     """
 
     def incompletable(search, target):
-        w = search(target, cap)
+        w = search(target)
         return None if w is None else (len(w), (w,))
 
     if mode == "exhaustive":
-        evaluate = _incompletable_from_subsets(cap)
+        evaluate = _incompletable_from_subsets()
     else:
         evaluate = partial(incompletable, _incompletable_word)
     return _sweep(
-        "R", class_tag, n, d, mode, samples, seed, instance_cap,
-        evaluate, partial(incompletable, shortest_incompletable),
+        "R", class_tag, n, d, mode, samples, seed, evaluate, partial(incompletable, shortest_incompletable)
     )
 
 
@@ -591,8 +579,6 @@ def estimate_C(
     mode: str = "exhaustive",
     samples: int = 500,
     seed: int = 0,
-    instance_cap: int = DEFAULT_INSTANCE_CAP,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> ExperimentReport:
     """Max over synchronizing class instances of the minimal pair length.
 
@@ -617,12 +603,12 @@ def estimate_C(
 
     def evaluate(automaton):
         if class_tag == "complete-prefix":
-            return found(_one_sided_pair(automaton, False, None, cap))
-        return found(_pair_search(automaton, class_tag != "all", None, cap))
+            return found(_one_sided_pair(automaton, False, None))
+        return found(_pair_search(automaton, class_tag != "all", None))
 
     return _sweep(
-        "C", class_tag, n, d, mode, samples, seed, instance_cap,
-        evaluate, lambda language: found(shortest_sync_pair(language, None, cap)),
+        "C", class_tag, n, d, mode, samples, seed,
+        evaluate, lambda language: found(shortest_sync_pair(language, None)),
     )
 
 
@@ -634,12 +620,7 @@ def random_tree_profile(rng: random.Random, max_depth: int) -> tuple[int, ...]:
             return tuple(sorted(leaves))
 
 
-def random_complete_sync_codes(
-    count: int,
-    seed: int = 0,
-    max_size: int = 5,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> list[FiniteLanguage]:
+def random_complete_sync_codes(count: int, seed: int = 0, max_size: int = 5) -> list[FiniteLanguage]:
     """Seeded complete synchronizing binary codes of size ≤ max_size.
 
     Instances are random Kraft trees with coprime leaf depths, randomly
@@ -661,7 +642,7 @@ def random_complete_sync_codes(
         for failure, holds in (
             ("is not a code", lambda: is_code(language)),
             ("is incomplete", lambda: is_complete_language(language)),
-            ("does not synchronize", lambda: is_synchronizing_code(language, cap)),
+            ("does not synchronize", lambda: is_synchronizing_code(language)),
         ):
             if not holds():
                 raise InternalInvariantError(
@@ -682,11 +663,7 @@ class BoundCheck:
     trace: Optional[ReductionTrace]
 
 
-def verify_main_bound(
-    instances: list[FiniteLanguage],
-    budget: int = 14,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> list[BoundCheck]:
+def verify_main_bound(instances: list[FiniteLanguage], budget: int = 14) -> list[BoundCheck]:
     """Run the reduction pipeline on each instance and check its ledger.
 
     A ledger violation (or any internal failure) is recorded as a finding with
@@ -697,9 +674,7 @@ def verify_main_bound(
     results = []
     for language in instances:
         try:
-            pair, trace = synchronizing_pair_via_reduction(
-                language, None, budget, cap
-            )
+            pair, trace = synchronizing_pair_via_reduction(language, None, budget)
         except CodesyncError as e:
             results.append(
                 BoundCheck(language, False, f"{type(e).__name__}: {e}", None)

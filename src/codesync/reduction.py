@@ -43,7 +43,6 @@ from .errors import (
     NotComplete,
     NotSynchronizing,
     ParseError,
-    DEFAULT_SUBSET_CAP,
 )
 from .languages import FiniteLanguage, Word, is_code, is_prefix, kleene_membership
 from .synchrony import SyncPair, is_sync_pair, shortest_sync_pair
@@ -169,7 +168,7 @@ def build_aprime(automaton: Automaton, v1: Word) -> Automaton:
     return aprime
 
 
-def shortest_incompletable_min_marked(aprime: Automaton, cap: int = DEFAULT_SUBSET_CAP) -> Word:
+def shortest_incompletable_min_marked(aprime: Automaton) -> Word:
     """Minimal-length incompletable word with fewest marked letters a′ (A′'s last letter).
 
     One level-by-level search from Q keeps, per subset first reached at each
@@ -203,9 +202,7 @@ def shortest_incompletable_min_marked(aprime: Automaton, cap: int = DEFAULT_SUBS
         for a in letters:
             yield step(s, a), (marks + (a == marked), (a,) + word if back else word + (a,))
 
-    for level in layered_search(
-        aprime.full_mask, (0, ()), expand, cap=cap, what="marked incompletable search"
-    ):
+    for level in layered_search(aprime.full_mask, (0, ()), expand, what="marked incompletable search"):
         if 0 in level:
             marks, word = level[0]
             v = Word(aprime.alphabet, word)
@@ -266,12 +263,7 @@ def extract_w(automaton: Automaton, v1: Word, v: Word) -> tuple[Word, Word, Word
     return w1, u1, u2
 
 
-def half_reduction(
-    language: FiniteLanguage,
-    v_side: Word,
-    side: str,
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> HalfReduction:
+def half_reduction(language: FiniteLanguage, v_side: Word, side: str) -> HalfReduction:
     """One side of the pipeline: Qw ⊆ Qv₁ (left) or Qw⁻¹ ⊆ Qv₂⁻¹ (right).
 
     The right side runs the identical construction on the edge-reversed flower
@@ -291,7 +283,7 @@ def half_reduction(
     v_work = v_side.reversed() if side == "right" else v_side
 
     aprime = build_aprime(work, v_work)
-    v = shortest_incompletable_min_marked(aprime, cap)
+    v = shortest_incompletable_min_marked(aprime)
     w_work, u1, u2 = extract_w(work, v_work, v)
     w = w_work.reversed() if side == "right" else w_work
 
@@ -327,7 +319,6 @@ def synchronizing_pair_via_reduction(
     language: FiniteLanguage,
     pair: Optional[SyncPair] = None,
     budget: int = 12,
-    cap: int = DEFAULT_SUBSET_CAP,
 ) -> tuple[SyncPair, ReductionTrace]:
     """Run the full pipeline and return the bounded pair with its trace.
 
@@ -342,16 +333,16 @@ def synchronizing_pair_via_reduction(
     if not is_complete_language(language):
         raise NotComplete("the reduction pipeline requires a complete code")
     if pair is None:
-        pair = shortest_sync_pair(language, budget, cap)
+        pair = shortest_sync_pair(language, budget)
         if pair is None:
             raise NotSynchronizing(
                 f"no synchronizing pair with |uv| ≤ {budget} found"
             )
-    if not is_sync_pair(language, pair.u, pair.v, method="code", cap=cap):
+    if not is_sync_pair(language, pair.u, pair.v, method="code"):
         raise NotSynchronizing("the supplied pair failed verification")
 
-    left = half_reduction(language, pair.u, "left", cap)
-    right = half_reduction(language, pair.v, "right", cap)
+    left = half_reduction(language, pair.u, "left")
+    right = half_reduction(language, pair.v, "right")
     w1, w2 = left.w, right.w
 
     witness = find_completion(language, w1 + w2)
@@ -362,11 +353,11 @@ def synchronizing_pair_via_reduction(
         )
     r, s = witness.r, witness.s
     final = SyncPair(u=r + w1, v=w2 + s, checked_by="code")
-    if not is_sync_pair(language, final.u, final.v, method="code", cap=cap):
+    if not is_sync_pair(language, final.u, final.v, method="code"):
         raise InternalInvariantError(
             "final pair failed the code-path check", {"final": (final.u.text, final.v.text)}
         )
-    if not is_sync_pair(language, final.u, final.v, method="general", cap=cap):
+    if not is_sync_pair(language, final.u, final.v, method="general"):
         raise InternalInvariantError(
             "final pair failed the independent general check",
             {"final": (final.u.text, final.v.text)},

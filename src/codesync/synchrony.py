@@ -38,8 +38,6 @@ from .errors import (
     InternalInvariantError,
     NotInStar,
     ParseError,
-    SubsetCapExceeded,
-    DEFAULT_SUBSET_CAP,
 )
 from .completeness import is_complete_language
 from .languages import Alphabet, FiniteLanguage, Word, is_code, is_prefix, kleene_membership
@@ -58,24 +56,22 @@ class SyncPair:
         return len(self.u) + len(self.v)
 
 
-def _context_families(language: FiniteLanguage, cap: int) -> tuple[Automaton, tuple[int, ...], tuple[int, ...]]:
+def _context_families(language: FiniteLanguage) -> tuple[Automaton, tuple[int, ...], tuple[int, ...]]:
     """Flower automaton plus the families {δ(1,r)} and {T_s} used by the
     general checker and the constant test: the nonempty subsets δ(1, w) and
     δ(1, w⁻¹) over all words w, memoized on the language."""
     automaton = flower_automaton(language)
     families = language._memo.get("families")
     if families is None:
-        families = language._memo["families"] = _context_closure(automaton, cap)
-    elif max(map(len, families)) > cap:
-        raise SubsetCapExceeded(cap, "subset family closure")
+        families = language._memo["families"] = _context_closure(automaton)
     return (automaton, *families)
 
 
-def _context_closure(automaton: Automaton, cap: int) -> tuple:
+def _context_closure(automaton: Automaton) -> tuple:
     """The families {δ(1, r)} and {T_s}, the subsets closed from state 1, of a
     flower automaton or of any object with its kernel interface."""
     start, what = 1 << automaton.initial, "subset family closure"
-    return tuple(tuple(subset_bfs(automaton, start, back=b, cap=cap, what=what)[0]) for b in (False, True))
+    return tuple(tuple(subset_bfs(automaton, start, back=b, what=what)[0]) for b in (False, True))
 
 
 def _check_in_star(language: FiniteLanguage, w: Word, name: str) -> None:
@@ -123,13 +119,7 @@ def _distinct_images(automaton: Automaton, family, w: Word) -> set[int]:
     return images
 
 
-def is_sync_pair(
-    language: FiniteLanguage,
-    u: Word,
-    v: Word,
-    method: str = "auto",
-    cap: int = DEFAULT_SUBSET_CAP,
-) -> bool:
+def is_sync_pair(language: FiniteLanguage, u: Word, v: Word, method: str = "auto") -> bool:
     """Decide whether (u, v) is a synchronizing pair of X.
 
     ``method`` selects the checker: ``"code"`` (flower-automaton criterion,
@@ -144,20 +134,20 @@ def is_sync_pair(
     if method == "code":
         return _code_pair_check(flower_automaton(language), u, v)
     if method == "general":
-        automaton, fwd, bwd = _context_families(language, cap)
+        automaton, fwd, bwd = _context_families(language)
         return _general_pair_check(automaton, fwd, bwd, u, v)
     raise ParseError(f"unknown sync-pair method {method!r}")
 
 
-def is_synchronizing_code(language: FiniteLanguage, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+def is_synchronizing_code(language: FiniteLanguage) -> bool:
     """Exact synchronization test for codes: X synchronizes iff it has a
     pair, so :func:`shortest_sync_pair`, run without a budget, decides it."""
     if not is_code(language):
         raise ParseError("exact synchronization test requires a code")
-    return shortest_sync_pair(language, None, cap) is not None
+    return shortest_sync_pair(language, None) is not None
 
 
-def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP) -> bool:
+def is_constant(language: FiniteLanguage, c: Word) -> bool:
     """Context-exchange test: u₁cu₂, u₃cu₄ ∈ X* forces u₁cu₄, u₃cu₂ ∈ X*.
 
     Over the reachable context families, f(S, T) = [δ(S, c) ∩ T ≠ ∅] must be
@@ -166,7 +156,7 @@ def is_constant(language: FiniteLanguage, c: Word, cap: int = DEFAULT_SUBSET_CAP
     lie in X*; membership is the caller's concern (the constant/pair
     dualities need c ∈ X*).
     """
-    automaton, fwd, bwd = _context_families(language, cap)
+    automaton, fwd, bwd = _context_families(language)
     if c.alphabet != automaton.alphabet:
         raise ParseError("word alphabet differs from automaton alphabet")
     images = _distinct_images(automaton, fwd, c)
@@ -182,9 +172,7 @@ def _require_complete_dfa(automaton: Automaton, what: str) -> None:
         raise AutomatonContractError(f"{what} a {kind} automaton")
 
 
-def sync_word_shortest(
-    automaton: Automaton, cap: int = DEFAULT_SUBSET_CAP
-) -> Optional[Word]:
+def sync_word_shortest(automaton: Automaton) -> Optional[Word]:
     """Shortest reset word of a deterministic complete automaton.
 
     Breadth-first search in the power automaton from the full state set down
@@ -193,8 +181,7 @@ def sync_word_shortest(
     """
     _require_complete_dfa(automaton, "reset words need")
     _, word = subset_bfs(
-        automaton, automaton.full_mask, goal=lambda t: t.bit_count() == 1, cap=cap,
-        what="reset-word search",
+        automaton, automaton.full_mask, goal=lambda t: t.bit_count() == 1, what="reset-word search"
     )
     return word
 
@@ -228,7 +215,7 @@ def is_synchronizing_dfa(automaton: Automaton) -> bool:
     return len(mergeable) == n * (n + 1) // 2
 
 
-def _star_reps(automaton: Automaton, side: tuple, cap: int, back: bool) -> Iterator[list[tuple]]:
+def _star_reps(automaton: Automaton, side: tuple, back: bool) -> Iterator[list[tuple]]:
     """Minimal X*-representatives of the keys of the words u ∈ X*, one length
     at a time, or of v ∈ X* when ``back``, growing v by prepending letters.
 
@@ -253,7 +240,7 @@ def _star_reps(automaton: Automaton, side: tuple, cap: int, back: bool) -> Itera
 
     what = "sync-pair backward enumeration" if back else "sync-pair forward enumeration"
     done: set[int] = set()
-    for level in layered_search((rest, init), (), expand, cap=cap, what=what):
+    for level in layered_search((rest, init), (), expand, what=what):
         states = level.items()
         if key is not None:
             states = [((key(mask), reach), word) for (mask, reach), word in states if reach & init]
@@ -265,9 +252,7 @@ def _star_reps(automaton: Automaton, side: tuple, cap: int, back: bool) -> Itera
         yield sorted(zip(reps.values(), reps))  # (word, key), by word
 
 
-def shortest_sync_pair(
-    language: FiniteLanguage, budget: Optional[int] = 12, cap: int = DEFAULT_SUBSET_CAP
-) -> Optional[SyncPair]:
+def shortest_sync_pair(language: FiniteLanguage, budget: Optional[int] = 12) -> Optional[SyncPair]:
     """The least synchronizing pair (u, v) ∈ X* × X* under (|uv|, |u|, lex u,
     lex v) with |uv| ≤ ``budget``, or None (X may synchronize with longer).
     With ``budget`` None the least pair of all, or None exactly when X does
@@ -279,8 +264,8 @@ def shortest_sync_pair(
     code = is_code(language)
     one_sided = _one_sided_flower(language) if code else None
     if one_sided is None:
-        return _pair_search(flower_automaton(language), code, budget, cap)
-    return _one_sided_pair(*one_sided, budget, cap)
+        return _pair_search(flower_automaton(language), code, budget)
+    return _one_sided_pair(*one_sided, budget)
 
 
 def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) -> tuple:
@@ -307,7 +292,7 @@ def _context_side(automaton: Automaton, members: tuple[int, ...], back: bool) ->
 
 
 def _pair_search(
-    automaton: Automaton, code: bool, budget: Optional[int], cap: int, letter_change: bool = False
+    automaton: Automaton, code: bool, budget: Optional[int], letter_change: bool = False
 ) -> Optional[SyncPair]:
     """The one least-pair search, on the flower automaton of X, or on any
     object with its kernel interface: :func:`_star_reps` of u and of v, each
@@ -334,7 +319,7 @@ def _pair_search(
     if code:
         sides = [(automaton, automaton.full_mask, None)] * 2
     else:
-        families = _context_closure(automaton, cap)
+        families = _context_closure(automaton)
         sides = [_context_side(automaton, members, back) for back, members in enumerate(families)]
     checked_by = "code" if code else "general"
     init, d = 1 << automaton.initial, len(automaton.alphabet)
@@ -344,7 +329,7 @@ def _pair_search(
             change = tuple(tuple(1 << n + a if b in (a, d) else 0 for a in range(d)) for b in range(d + 1))
             family = Automaton(n + d + 1, automaton.alphabet, family.table + change)
             sides[back] = family, rest | ((1 << d + 1) - 1 if back else 1 << d) << n, key
-    searches = [_star_reps(automaton, sides[0], cap, False), _star_reps(automaton, sides[1], cap, True)]
+    searches = [_star_reps(automaton, sides[0], False), _star_reps(automaton, sides[1], True)]
     fwd, bwd = [], []  # representatives by length
     ends = [None, None]  # the level count of each search once it has ended
     for total in itertools.count() if budget is None else range(budget + 1):
@@ -385,9 +370,7 @@ def _one_sided_flower(language: FiniteLanguage) -> Optional[tuple[Automaton, boo
     return automaton, mirror
 
 
-def _one_sided_pair(
-    automaton: Automaton, mirror: bool, budget: Optional[int], cap: int
-) -> Optional[SyncPair]:
+def _one_sided_pair(automaton: Automaton, mirror: bool, budget: Optional[int]) -> Optional[SyncPair]:
     """The minimal pair (u, ε) of a complete prefix code, with u the (length,
     lex)-least word such that δ(Q, u) = {1}, on its flower automaton or on any
     object with the same kernel interface; None when no such u has |u| ≤
@@ -420,7 +403,7 @@ def _one_sided_pair(
             yield step(mask, a), (word + (a,) if mirror else (a,) + word)
 
     lengths = itertools.count() if budget is None else range(budget + 1)
-    levels = layered_search(1 << automaton.initial, (), expand, cap=cap, what="reset-to-root search")
+    levels = layered_search(1 << automaton.initial, (), expand, what="reset-to-root search")
     for _, level in zip(lengths, levels):  # zip stops before a level beyond the budget
         if full in level:
             w, empty = Word(automaton.alphabet, level[full]), Word.epsilon(automaton.alphabet)

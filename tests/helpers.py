@@ -226,11 +226,10 @@ def class_masks_reference(n: int, d: int) -> dict[tuple[str, bool], list[int]]:
     completeness by a search to ∅ on the view (not the Kraft sum) and
     :func:`canonical_under_permutation`."""
     from codesync.completeness import _incompletable_word
-    from codesync.errors import DEFAULT_INSTANCE_CAP
     from codesync.experiments import CLASS_TAGS, _PoolTrie, _PoolView
     from codesync.languages import _sardinas_patterson
 
-    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(n, d)
     out = {(tag, c): [] for tag in CLASS_TAGS for c in (True, False)}
     for bits in range(1, 2 ** len(trie.words)):
         words = [u for i, u in enumerate(trie.words) if bits >> i & 1]
@@ -240,7 +239,7 @@ def class_masks_reference(n: int, d: int) -> dict[tuple[str, bool], list[int]]:
             "codes": code,
             "prefix": not any(len(u) < len(v) and v[: len(u)] == u for u in words for v in words),
         }
-        complete = code and _incompletable_word(_PoolView(trie, bits), 2 ** 20) is None
+        complete = code and _incompletable_word(_PoolView(trie, bits)) is None
         member["complete-codes"] = complete
         member["complete-prefix"] = complete and member["prefix"]
         canonical = canonical_under_permutation(tuple(words), d)
@@ -298,13 +297,12 @@ def estimate_R_searching_every_member(class_tag: str, n: int, d: int) -> dict:
     without ``elapsed_seconds``: a fresh ``_incompletable_word`` search on the
     ``_PoolView`` of every member, in mask order, with no result reused."""
     from codesync.completeness import _incompletable_word
-    from codesync.errors import DEFAULT_INSTANCE_CAP, DEFAULT_SUBSET_CAP
     from codesync.experiments import _PoolTrie, _PoolView
 
-    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(n, d)
     best, count = (None, None, None), 0
     for bits in trie.masks(class_tag, True):
-        word = _incompletable_word(_PoolView(trie, bits), DEFAULT_SUBSET_CAP)
+        word = _incompletable_word(_PoolView(trie, bits))
         if word is None:
             continue
         count += 1
@@ -348,7 +346,7 @@ def shortest_sync_pair_eager(language: FiniteLanguage, budget: int, where=None):
         def checker(u, v):
             return _code_pair_check(automaton, u, v)
     else:
-        families = _context_families(language, 2 ** 20)
+        families = _context_families(language)
 
         def checker(u, v):
             return _general_pair_check(*families, u, v)
@@ -523,7 +521,7 @@ def is_unambiguous(automaton) -> bool:
                     if within is None or (p, q) in within:
                         yield (p, q), key
 
-    search = partial(layered_search, init, 0, cap=automaton.n_states ** 2, what="product search")
+    search = partial(layered_search, init, 0, what="product search")
     reachable = set().union(*search(partial(expand, automaton._letter_rows, None)))
     backward = search(partial(expand, automaton._rev_rows, reachable))
     return all(p == q for level in backward for p, q in level)

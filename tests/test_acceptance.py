@@ -192,7 +192,7 @@ def test_criterion_4_oracle_equivalence():
     codes = [x for x in corpus if is_code(x)]
     codes += [x for x in random_codes_sample if is_code(x)]
     for x in codes:
-        automaton, fwd, bwd = _context_families(x, 2 ** 20)
+        automaton, fwd, bwd = _context_families(x)
         star = star_words_eager(x, 6)
         for (lu, wu), (lv, wv) in itertools.product(star, star):
             if lu + lv > 6:

@@ -31,7 +31,6 @@ from codesync import (
 )
 from codesync import automata
 from codesync.completeness import _incompletable_word
-from codesync.errors import DEFAULT_SUBSET_CAP
 from codesync.synchrony import cerny_family
 
 from helpers import (
@@ -273,17 +272,17 @@ def test_step_letter_back_walks_the_smaller_side_of_a_total_letter(x):
 def test_structural_predicates_on_examples():
     prefix = flower_automaton(lang(EXAMPLE_PREFIX))
     assert is_deterministic(prefix)
-    assert _incompletable_word(prefix, DEFAULT_SUBSET_CAP) is None
+    assert _incompletable_word(prefix) is None
     assert is_transitive(prefix)
     assert is_unambiguous(prefix)
 
     nondet = flower_automaton(lang(EXAMPLE_SET))
     assert not is_deterministic(nondet)  # b has two a-successors (1 and ba)
-    assert _incompletable_word(nondet, DEFAULT_SUBSET_CAP) is not None
+    assert _incompletable_word(nondet) is not None
     assert is_transitive(nondet)
 
     single = flower_automaton(lang(["a"]))
-    assert is_deterministic(single) and _incompletable_word(single, DEFAULT_SUBSET_CAP) is None
+    assert is_deterministic(single) and _incompletable_word(single) is None
     assert is_transitive(single) and is_unambiguous(single)
 
 
@@ -361,6 +360,14 @@ def test_first_return_size_is_the_size_of_the_listed_language():
     assert first_return_size(nonreturning) == first_return_language(nonreturning).size == 0
     with pytest.raises(AutomatonContractError):
         first_return_size(Automaton(n_states=1, alphabet=BINARY, table=((1, 1),), accepting=frozenset()))
+
+
+def test_first_return_walks_words_longer_than_the_recursion_limit():
+    # one state per letter of b^1500: a walk that recursed per state overflowed
+    x = lang(["a", "b" * 1500])
+    a = flower_automaton(x)
+    assert first_return_size(a) == 1500
+    assert first_return_language(a) == x
 
 
 def test_first_return_rejects_one_avoiding_cycle():

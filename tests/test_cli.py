@@ -48,9 +48,9 @@ def test_analyze_searches_an_incomplete_non_code_once(capsys, example_file, monk
     calls = []
     real = completeness._incompletable_word
 
-    def counted(automaton, cap):
+    def counted(automaton):
         calls.append(automaton)
-        return real(automaton, cap)
+        return real(automaton)
 
     monkeypatch.setattr(completeness, "_incompletable_word", counted)
     code, data = run_json(capsys, ["analyze", example_file, "--json"])
@@ -66,9 +66,9 @@ def test_encode_searches_a_complete_non_code_once(capsys, tmp_path, monkeypatch)
     sizes = []
     real = completeness._incompletable_word
 
-    def counted(automaton, cap):
+    def counted(automaton):
         sizes.append(automaton.n_states)
-        return real(automaton, cap)
+        return real(automaton)
 
     monkeypatch.setattr(completeness, "_incompletable_word", counted)
     p = tmp_path / "abc.lang"
@@ -100,6 +100,21 @@ def test_json_words_without_an_alphabet(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: index-form words require an explicit alphabet"]
+
+
+@pytest.mark.parametrize("name, content", [
+    ("plain.lang", EXAMPLE),
+    ("headered.lang", PREFIX_EXAMPLE),
+    ("words.json", '{"alphabet": ["a", "b"], "words": ["aa", "ab", "ba", "baa", "bbb"]}'),
+], ids=["text", "headered", "json"])
+def test_a_byte_order_mark_is_not_part_of_the_language(capsys, tmp_path, name, content):
+    # editors on Windows may start a UTF-8 file with the bytes EF BB BF
+    plain, marked = tmp_path / name, tmp_path / ("bom-" + name)
+    plain.write_text(content, encoding="utf-8")
+    marked.write_text(content, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want = run_json(capsys, ["analyze", str(plain), "--json"])
+    assert run_json(capsys, ["analyze", str(marked), "--json"]) == want
 
 
 def test_analyze_reads_the_epsilon_free_core(capsys, tmp_path):

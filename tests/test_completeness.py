@@ -19,10 +19,9 @@ from codesync import (
     kleene_membership,
     shortest_incompletable,
 )
-from codesync import completeness
+from codesync import completeness, errors
 from codesync.automata import _flower_states
 from codesync.completeness import _incompletable_word, _return_word
-from codesync.errors import DEFAULT_SUBSET_CAP
 
 from helpers import (
     BINARY,
@@ -241,48 +240,44 @@ def test_random_witnesses_verify_against_definitional_checker():
             assert shorter is None
 
 
-def test_kraft_completeness_of_codes_matches_the_search():
+def test_kraft_completeness_of_codes_matches_the_search(monkeypatch):
     # a finite code is complete iff its Kraft sum is 1 (Schützenberger), so
-    # codes never search: cap=1 would stop any search at its second subset
+    # codes never search: a cap of 1 would stop any search at its second subset
     codes = small_class_languages("codes")
-    complete = 0
-    for x in codes:
-        searched = _incompletable_word(flower_automaton(x), DEFAULT_SUBSET_CAP) is None
-        assert is_complete_language(x, cap=1) == searched, x.word_strings()
-        complete += searched
-    assert (len(codes), complete) == (2139, 95)
+    searched = [_incompletable_word(flower_automaton(x)) is None for x in codes]
+    monkeypatch.setattr(errors, "SUBSET_CAP", 1)
+    for x, complete in zip(codes, searched):
+        assert is_complete_language(x) == complete, x.word_strings()
+    assert (len(codes), sum(searched)) == (2139, 95)
     assert not is_complete_language(FiniteLanguage(BINARY, ()))  # ∅ is an incomplete code
 
 
-def test_non_codes_and_epsilon_languages_still_search():
+def test_non_codes_and_epsilon_languages_still_search(monkeypatch):
     # {a, aa, ab} has Kraft sum 1 but is no code, and bb is incompletable
     kraft_one = lang(["a", "aa", "ab"])
     assert not is_code(kraft_one) and not is_complete_language(kraft_one)
     assert shortest_incompletable(kraft_one).text == "bb"
     complete_non_code = lang(["a", "b", "ab"])
     assert not is_code(complete_non_code) and is_complete_language(complete_non_code)
-    for x in (kraft_one, complete_non_code):
+    monkeypatch.setattr(errors, "SUBSET_CAP", 1)
+    for words in (["a", "aa", "ab"], ["a", "b", "ab"]):  # fresh languages, with no memoized answer
         with pytest.raises(SubsetCapExceeded):
-            is_complete_language(x, cap=1)
+            is_complete_language(lang(words))
     with pytest.raises(EpsilonNotAllowed):
         is_complete_language(lang(["ε", "a", "b"]))
 
 
 def test_completeness_is_memoized_but_a_cap_error_is_not(monkeypatch):
-    from codesync import completeness
-
     calls = []
-    real = completeness._incompletable_word
-    monkeypatch.setattr(completeness, "_incompletable_word", lambda a, cap: calls.append(cap) or real(a, cap))
+    real, cap = completeness._incompletable_word, errors.SUBSET_CAP
+    monkeypatch.setattr(completeness, "_incompletable_word", lambda a: calls.append(errors.SUBSET_CAP) or real(a))
     x = lang(["a", "b", "ab"])  # a complete non-code
+    monkeypatch.setattr(errors, "SUBSET_CAP", 1)
     with pytest.raises(SubsetCapExceeded):
-        is_complete_language(x, cap=1)
+        is_complete_language(x)
+    monkeypatch.setattr(errors, "SUBSET_CAP", cap)
     assert is_complete_language(x) and is_complete_language(x)
-    assert calls == [1, DEFAULT_SUBSET_CAP]
-    # a smaller cap than the memoized answer's searches again, and may fail
-    with pytest.raises(SubsetCapExceeded):
-        is_complete_language(x, cap=1)
-    assert calls == [1, DEFAULT_SUBSET_CAP, 1]
+    assert calls == [1, cap]
 
 
 @pytest.mark.parametrize("n, d", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)])

@@ -232,7 +232,7 @@ def test_incompletable_reduction_failures_are_internal_errors(monkeypatch):
     abc = Alphabet.of("a", "b", "c")
     x = FiniteLanguage.from_strings(["a", "b"], abc)
     # ε decodes to ε, which is completable in X
-    monkeypatch.setattr(encoding, "shortest_incompletable", lambda hx, cap: Word.epsilon(BINARY))
+    monkeypatch.setattr(encoding, "shortest_incompletable", lambda hx: Word.epsilon(BINARY))
     with pytest.raises(InternalInvariantError) as err:
         reduce_incompletable_to_binary(x)
     assert err.value.details["u"] == "ε"
@@ -302,7 +302,7 @@ def test_sync_reduction_failures_are_internal_errors(monkeypatch):
 
     cases = [
         ("apply_encoding", first_word_only, "incomplete"),
-        ("shortest_sync_pair", lambda hx, budget, cap: SyncPair(w(stray), Word.epsilon(BINARY)), "not an image"),
+        ("shortest_sync_pair", lambda hx, budget: SyncPair(w(stray), Word.epsilon(BINARY)), "not an image"),
         ("is_sync_pair", lambda *args, **kwargs: False, "verification on X"),
     ]
     for name, fake, message in cases:

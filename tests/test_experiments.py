@@ -18,16 +18,10 @@ from codesync import (
     shortest_incompletable,
     verify_main_bound,
 )
-from codesync import experiments
+from codesync import errors, experiments
 from codesync.automata import flower_automaton, states_from_mask
 from codesync.completeness import _incompletable_word
-from codesync.errors import (
-    DEFAULT_INSTANCE_CAP,
-    DEFAULT_SUBSET_CAP,
-    CodesyncError,
-    InternalInvariantError,
-    SubsetCapExceeded,
-)
+from codesync.errors import CodesyncError, InternalInvariantError, SubsetCapExceeded
 from codesync.languages import _sardinas_patterson
 from codesync.experiments import (
     CLASS_TAGS,
@@ -93,9 +87,10 @@ def test_estimate_R_matches_brute_force_maximum():
         assert report.value == brute_max
 
 
-def test_estimate_R_cap_suggests_random_mode():
+def test_estimate_R_cap_suggests_random_mode(monkeypatch):
+    monkeypatch.setattr(errors, "INSTANCE_CAP", 100)
     with pytest.raises(SearchBudgetExceeded):
-        estimate_R("all", 3, 2, instance_cap=100)
+        estimate_R("all", 3, 2)
 
 
 @pytest.mark.parametrize("call", [
@@ -129,11 +124,13 @@ def test_class_tag_is_checked_before_the_pool_is_built(monkeypatch, call):
     assert not isinstance(caught.value, SearchBudgetExceeded)
 
 
-def test_instance_cap_compares_the_exponent_exactly():
+def test_instance_cap_compares_the_exponent_exactly(monkeypatch):
     # 2^6 candidates at (2, 2): a cap of 64 admits them, 63 does not
-    assert len(list(enumerate_class_languages("all", 2, 2, False, instance_cap=64))) == 63
+    monkeypatch.setattr(errors, "INSTANCE_CAP", 64)
+    assert len(list(enumerate_class_languages("all", 2, 2, False))) == 63
+    monkeypatch.setattr(errors, "INSTANCE_CAP", 63)
     with pytest.raises(SearchBudgetExceeded):
-        next(enumerate_class_languages("all", 2, 2, False, instance_cap=63))
+        next(enumerate_class_languages("all", 2, 2, False))
 
 
 def test_estimate_C_complete_codes_size_one():
@@ -204,7 +201,7 @@ def test_enumeration_matches_reference(n, d, canonicalize):
 def test_class_masks_match_the_table_free_reference():
     # every class at (3, 2), with and without canonicalization, against one
     # plain pass over all 2^14 pool masks
-    trie = _PoolTrie(3, 2, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(3, 2)
     want = class_masks_reference(3, 2)
     for (tag, canonicalize), masks in want.items():
         assert list(trie.masks(tag, canonicalize)) == masks, (tag, canonicalize)
@@ -221,7 +218,7 @@ def test_code_masks_grow_only_from_members(monkeypatch):
         return _sardinas_patterson(words)
 
     monkeypatch.setattr(experiments, "_sardinas_patterson", counted)
-    trie = _PoolTrie(3, 2, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(3, 2)
     assert len(list(trie.masks("codes", False))) == 1033
     assert len(calls) <= 1725
     calls.clear()
@@ -249,7 +246,7 @@ def test_pool_view_steps_as_the_flower(n, d, stride):
     # every mask (every 7th canonical one at (3, 2)): with flower state k
     # relabelled to the k-th live trie node, the view and the flower agree on
     # every singleton subset and on the full state set, in both directions
-    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(n, d)
     if stride == 1:
         masks = range(1, 2 ** len(trie.pool))
     else:
@@ -276,7 +273,7 @@ def test_kraft_sums_bound_every_code_and_decide_completeness(n, d, codes, comple
     # McMillan: a finite code has Kraft sum Σ d^(n−|x|) ≤ d^n; Schützenberger:
     # a finite code is complete iff the sum is exactly d^n.  Checked over every
     # pool mask against the closure and the completeness search on the view.
-    trie = _PoolTrie(n, d, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(n, d)
     found = {"codes": 0, "complete": 0}
     for bits in range(1, 2 ** len(trie.words)):
         members = [u for i, u in enumerate(trie.words) if bits >> i & 1]
@@ -284,7 +281,7 @@ def test_kraft_sums_bound_every_code_and_decide_completeness(n, d, codes, comple
             continue
         total = sum(d ** (n - len(u)) for u in members)
         assert total <= d ** n, members
-        is_complete = _incompletable_word(_PoolView(trie, bits), 2 ** 20) is None
+        is_complete = _incompletable_word(_PoolView(trie, bits)) is None
         assert is_complete == (total == d ** n), members
         found["codes"] += 1
         found["complete"] += is_complete
@@ -402,20 +399,20 @@ def test_R_answers_read_off_subsets_are_the_searched_ones(monkeypatch):
     # and its word fails the definitional completability test
     searched = []
 
-    def counted(view, cap):
+    def counted(view):
         searched.append(view.members)
-        return _incompletable_word(view, cap)
+        return _incompletable_word(view)
 
     monkeypatch.setattr(experiments, "_incompletable_word", counted)
-    trie = _PoolTrie(2, 2, DEFAULT_INSTANCE_CAP)
+    trie = _PoolTrie(2, 2)
     reused = 0
     for tag in CLASS_TAGS:
-        evaluate = experiments._incompletable_from_subsets(DEFAULT_SUBSET_CAP)
+        evaluate = experiments._incompletable_from_subsets()
         for bits in trie.masks(tag, True):
             searched.clear()
             view = _PoolView(trie, bits)
             found = evaluate(view)
-            word = _incompletable_word(view, DEFAULT_SUBSET_CAP)
+            word = _incompletable_word(view)
             assert found == (None if word is None else (len(word), (word,))), (tag, bits)
             if searched:
                 continue
@@ -434,9 +431,9 @@ def test_R_sweep_searches_only_members_no_subset_decides(monkeypatch):
     # mask to ∅, runs no search (one search per member made 8,255)
     calls = []
 
-    def counted(view, cap):
+    def counted(view):
         calls.append(view.members)
-        return _incompletable_word(view, cap)
+        return _incompletable_word(view)
 
     monkeypatch.setattr(experiments, "_incompletable_word", counted)
     report = estimate_R("all", 3, 2).to_dict()
@@ -451,8 +448,8 @@ def test_R_evaluator_stores_each_word_once(monkeypatch):
     evaluators = []
     make = experiments._incompletable_from_subsets
 
-    def kept(cap):
-        evaluators.append(make(cap))
+    def kept():
+        evaluators.append(make())
         return evaluators[-1]
 
     monkeypatch.setattr(experiments, "_incompletable_from_subsets", kept)
@@ -463,11 +460,12 @@ def test_R_evaluator_stores_each_word_once(monkeypatch):
     assert len(words) == len(set(words)) == 131
 
 
-def test_a_small_subset_cap_still_fails_loudly():
+def test_a_small_subset_cap_still_fails_loudly(monkeypatch):
     # the fourth member searched, {ab}, stores 3 subsets; members decided from
     # a subset run no search, so only the searched ones can reach the cap
+    monkeypatch.setattr(errors, "SUBSET_CAP", 2)
     with pytest.raises(SubsetCapExceeded):
-        estimate_R("all", 3, 2, cap=2)
+        estimate_R("all", 3, 2)
 
 
 @pytest.mark.parametrize("call", [
@@ -630,9 +628,9 @@ def test_random_complete_sync_codes_raise_on_a_failed_recheck(monkeypatch):
     calls = []
     real = experiments.is_synchronizing_code
 
-    def first_fails(language, cap):
+    def first_fails(language):
         calls.append(language)
-        return len(calls) > 1 and real(language, cap)
+        return len(calls) > 1 and real(language)
 
     monkeypatch.setattr(experiments, "is_synchronizing_code", first_fails)
     with pytest.raises(InternalInvariantError) as err:

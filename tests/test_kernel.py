@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from codesync import errors
 from codesync import (
     SubsetCapExceeded,
     Word,
@@ -42,15 +43,17 @@ def test_kernel_finds_least_word_and_lists_subsets_in_bfs_order():
     assert none is None and everything[: len(order)] == order
 
 
-def test_kernel_tests_goal_on_start_and_before_cap():
+def test_kernel_tests_goal_on_start_and_before_cap(monkeypatch):
     a = flower_automaton(lang(EXAMPLE_SET))
     _, empty = subset_bfs(a, a.full_mask, goal=lambda t: t == a.full_mask)
     assert empty == Word.epsilon(a.alphabet)
     order, word = subset_bfs(a, a.full_mask, goal=lambda t: not t)
     # the cap counts distinct nonempty subsets, start included
-    assert subset_bfs(a, a.full_mask, goal=lambda t: not t, cap=len(order))[1] == word
+    monkeypatch.setattr(errors, "SUBSET_CAP", len(order))
+    assert subset_bfs(a, a.full_mask, goal=lambda t: not t)[1] == word
+    monkeypatch.setattr(errors, "SUBSET_CAP", len(order) - 1)
     with pytest.raises(SubsetCapExceeded) as exc:
-        subset_bfs(a, a.full_mask, goal=lambda t: not t, cap=len(order) - 1, what="probe")
+        subset_bfs(a, a.full_mask, goal=lambda t: not t, what="probe")
     assert exc.value.context == "probe"
 
 
@@ -71,42 +74,37 @@ def _prefix_aprime():
 @pytest.mark.parametrize(
     "call, context",
     [
-        pytest.param(lambda: _incompletable_word(flower_automaton(cerny_family(4)), 1),
+        pytest.param(lambda: _incompletable_word(flower_automaton(cerny_family(4))),
                      "incompletable-word search",
                      id="_incompletable_word"),
-        (lambda: shortest_incompletable(lang(EXAMPLE_SET), cap=1), "incompletable-word search"),
-        (lambda: sync_word_shortest(determinize_minimize(flower_automaton(cerny_family(4))), cap=1),
+        (lambda: shortest_incompletable(lang(EXAMPLE_SET)), "incompletable-word search"),
+        # the DFA is built at collection, since its subset construction is capped too
+        (lambda dfa=determinize_minimize(flower_automaton(cerny_family(4))): sync_word_shortest(dfa),
          "reset-word search"),
-        (lambda: shortest_incompletable_min_marked(_prefix_aprime(), cap=1),
+        (lambda: shortest_incompletable_min_marked(_prefix_aprime()),
          "marked incompletable search"),
         # an incomplete prefix code: complete prefix and suffix codes take the
         # reset-to-root search instead of the enumeration; the test of
         # synchronization is the pair search without a budget
-        pytest.param(lambda: is_synchronizing_code(lang(INCOMPLETE_PREFIX), cap=1),
+        pytest.param(lambda: is_synchronizing_code(lang(INCOMPLETE_PREFIX)),
                      "sync-pair forward enumeration",
                      id="is_synchronizing_code-sync-pair forward enumeration"),
-        (lambda: is_sync_pair(lang(EXAMPLE_SET), w("ab"), w("ba"), method="general", cap=1),
+        (lambda: is_sync_pair(lang(EXAMPLE_SET), w("ab"), w("ba"), method="general"),
          "subset family closure"),
-        (lambda: shortest_sync_pair(lang(INCOMPLETE_PREFIX), 9, cap=1),
+        (lambda: shortest_sync_pair(lang(INCOMPLETE_PREFIX), 9),
          "sync-pair forward enumeration"),
-        (lambda: shortest_sync_pair(cerny_family(4), 9, cap=1), "reset-to-root search"),
+        (lambda: shortest_sync_pair(cerny_family(4), 9), "reset-to-root search"),
         # the pair search finishes each forward level first, so a cap small
         # enough to stop the backward side stops the forward side before it
-        (lambda: list(_star_reps(f := flower_automaton(cerny_family(4)), (f, f.full_mask, None), 1, True)),
+        (lambda: list(_star_reps(f := flower_automaton(cerny_family(4)), (f, f.full_mask, None), True)),
          "sync-pair backward enumeration"),
     ],
 )
-def test_tiny_cap_raises_with_context(call, context):
+def test_tiny_cap_raises_with_context(call, context, monkeypatch):
+    monkeypatch.setattr(errors, "SUBSET_CAP", 1)
     with pytest.raises(SubsetCapExceeded) as exc:
         call()
     assert exc.value.cap == 1 and exc.value.context == context
-
-
-def test_memoized_family_still_honours_a_smaller_cap():
-    x = lang(EXAMPLE_SET)
-    assert is_sync_pair(x, w("ab"), w("ba"), method="general")
-    with pytest.raises(SubsetCapExceeded):
-        is_sync_pair(x, w("ab"), w("ba"), method="general", cap=1)
 
 
 def test_shortest_incompletable_words_match_brute_force():

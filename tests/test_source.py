@@ -25,8 +25,7 @@ def test_no_bare_asserts_in_package():
 
 
 def test_only_the_kernels_raise_the_subset_cap():
-    """Searches get their cap from ``subset_bfs`` or ``layered_search``; the
-    memoized families re-check a smaller cap in ``_context_families``."""
+    """Searches get their cap from ``subset_bfs`` or ``layered_search``."""
     raisers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -39,11 +38,22 @@ def test_only_the_kernels_raise_the_subset_cap():
                     exc = exc.func
                 if isinstance(exc, ast.Name) and exc.id == "SubsetCapExceeded":
                     raisers.add(f"{path.stem}.{func.name}")
-    assert raisers == {
-        "automata.subset_bfs",
-        "automata.layered_search",
-        "synchrony._context_families",
-    }
+    assert raisers == {"automata.subset_bfs", "automata.layered_search"}
+
+
+def test_the_caps_are_constants():
+    """No function takes a cap: the kernels read ``errors.SUBSET_CAP`` and
+    the pool trie ``errors.INSTANCE_CAP``, so tests patch those."""
+    takers = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = (*func.args.posonlyargs, *func.args.args, *func.args.kwonlyargs)
+                takers += [f"{path.stem}.{func.name}({a.arg})" for a in params if a.arg in ("cap", "instance_cap")]
+    assert not takers
+    old = re.compile(r"DEFAULT_(SUBSET|INSTANCE)_CAP")
+    stale = [path.name for path in [*SRC.glob("*.py"), *TESTS.glob("*.py")] if old.search(path.read_text())]
+    assert not stale
 
 
 def test_one_function_builds_the_experiment_reports():

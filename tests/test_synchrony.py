@@ -30,7 +30,7 @@ from codesync import (
     sync_word_shortest,
 )
 from codesync.automata import Automaton
-from codesync.errors import DEFAULT_SUBSET_CAP, AutomatonContractError, InternalInvariantError
+from codesync.errors import AutomatonContractError, InternalInvariantError
 from codesync import synchrony
 from codesync.synchrony import _one_sided_flower, _one_sided_pair, _pair_search
 
@@ -364,7 +364,7 @@ def test_plain_pair_search_matches_eager_reference():
     def pairs(x, budget):
         found = (
             shortest_sync_pair(x, budget),
-            _pair_search(flower_automaton(x), is_code(x), budget, DEFAULT_SUBSET_CAP, letter_change=True),
+            _pair_search(flower_automaton(x), is_code(x), budget, letter_change=True),
         )
         return [None if p is None else (p.u, p.v, p.checked_by) for p in found]
 
@@ -414,7 +414,7 @@ def test_checker_agreement_spot():
     from codesync.synchrony import _code_pair_check, _context_families, _general_pair_check
 
     x = lang(EXAMPLE_PREFIX)
-    automaton, fwd, bwd = _context_families(x, 2 ** 20)
+    automaton, fwd, bwd = _context_families(x)
     for u_text, v_text in (("aaa", "ε"), ("a", "ε"), ("bb", "a"), ("ε", "ε")):
         u, v = w(u_text), w(v_text)
         assert _code_pair_check(automaton, u, v) == _general_pair_check(
@@ -471,7 +471,7 @@ def test_general_checker_steps_each_distinct_image_once(monkeypatch, n, most):
     # stepping each S ∈ F through uv on its own took 9,359 steps on X_8 and
     # 62,127 on X_10; the distinct images take 584 and 1,956
     x, pair = cerny_family(n), cerny_canonical_pair(n)
-    synchrony._context_families(x, DEFAULT_SUBSET_CAP)
+    synchrony._context_families(x)
     counts = count_steps(monkeypatch)
     assert is_sync_pair(x, pair.u, pair.v, method="general")
     assert counts["step_letter"] <= most
@@ -482,7 +482,7 @@ def test_constant_test_steps_each_distinct_image_once(monkeypatch, n, most):
     # stepping each S ∈ F through c on its own took 9,359 steps on X_8 and
     # 62,127 on X_10; the distinct images take 584 and 1,956
     x, pair = cerny_family(n), cerny_canonical_pair(n)
-    synchrony._context_families(x, DEFAULT_SUBSET_CAP)
+    synchrony._context_families(x)
     counts = count_steps(monkeypatch)
     assert is_constant(x, pair.u)
     assert counts["step_letter"] <= most
@@ -514,7 +514,6 @@ def test_one_sided_pairs_match_the_code_path_search():
     # one reset-to-root search; the two-sided representative search must give
     # the same pair at its length and none one below it.  X_8's two-sided
     # search below its length alone takes about 0.5 s, so X_8 skips that one.
-    cap = DEFAULT_SUBSET_CAP
     cases = [(x, True) for x in small_class_languages("complete-codes") if _one_sided_flower(x)]
     small = len(cases)
     cases += [(cerny_family(n), n < 8) for n in range(3, 9)]
@@ -522,11 +521,11 @@ def test_one_sided_pairs_match_the_code_path_search():
     mirrored = silent = 0
     for x, below in cases:
         automaton, mirror = _one_sided_flower(x)
-        pair = _one_sided_pair(automaton, mirror, None, cap)
+        pair = _one_sided_pair(automaton, mirror, None)
         length = 12 if pair is None else pair.total_length
         for budget in (length - 1, length) if below else (length,):
             got = shortest_sync_pair(x, budget)
-            code_search = _pair_search(flower_automaton(x), True, budget, cap)
+            code_search = _pair_search(flower_automaton(x), True, budget)
             assert got == code_search, (x.word_strings(), budget)
             assert got == (pair if budget == length else None)
         mirrored += mirror
@@ -541,7 +540,6 @@ def test_one_sided_pair_matches_the_image_side_reference():
     # mirrored X_3..X_7 and the ledger corpus, plain and letter-swapped
     from codesync.experiments import random_complete_sync_codes
 
-    cap = DEFAULT_SUBSET_CAP
     cases = [x for x in small_class_languages("complete-codes") if _one_sided_flower(x)]
     cases += [cerny_family(n) for n in range(3, 9)] + [cerny_family(n).reversed() for n in range(3, 8)]
     for x in random_complete_sync_codes(150, seed=0, max_size=6):
@@ -550,7 +548,7 @@ def test_one_sided_pair_matches_the_image_side_reference():
     for x in cases:
         automaton, mirror = _one_sided_flower(x)
         for budget in (0, 6, 18, (x.size - 1) ** 2, None):
-            pair = _one_sided_pair(automaton, mirror, budget, cap)
+            pair = _one_sided_pair(automaton, mirror, budget)
             assert pair == one_sided_pair_reference(automaton, mirror, budget), (x.word_strings(), budget)
             found += pair is not None
         mirrored += mirror
